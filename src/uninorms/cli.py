@@ -92,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="one of: " + ", ".join(theorem_names()))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for the sampled sweeps (default 0)")
+                   help="seed of the fixed-seed samples, which only bis-a, bis-b "
+                        "and open-questions draw, at n >= 4 (default 0)")
     p.add_argument("--jobs", type=int, default=_default_jobs(),
                    help="worker processes; the report is identical for any value")
     p.set_defaults(func=_cmd_verify)

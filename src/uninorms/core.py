@@ -244,13 +244,22 @@ def table_to_json_dict(op: BinaryOperation) -> dict:
 
 
 def table_from_json_dict(data: dict) -> BinaryOperation:
+    """Inverse of ``table_to_json_dict``; any malformed input raises
+    ``ValueError``. JSON booleans are not accepted as integers."""
     try:
         n = data["n"]
         rows = data["table"]
     except (KeyError, TypeError):
         raise ValueError("JSON table must have 'n' and 'table' keys")
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if type(n) is not int:
+        raise ValueError(f"JSON 'n' must be an integer, got {json.dumps(n)}")
+    if (not isinstance(rows, list) or len(rows) != n
+            or any(not isinstance(r, list) or len(r) != n for r in rows)):
         raise ValueError(f"JSON table must be {n}x{n}")
+    for r in rows:
+        for v in r:
+            if type(v) is not int:
+                raise ValueError(f"JSON table entry {json.dumps(v)} is not an integer")
     table = [[rows[y][x] for y in range(n)] for x in range(n)]
     return make_operation(n, table)
 

@@ -117,6 +117,18 @@ class TestCheck:
         code, _, err = run(capsys, "check", "/nonexistent/table.txt")
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 2, "table": [1, 2]}',
+        '{"n": 2.0, "table": [[1, 2], [2, 2]]}',
+        '{"n": 2, "table": [[true, 2], [2, 2]]}',
+    ])
+    def test_malformed_json_table(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestRender:
     def test_text(self, capsys, tmp_path):
@@ -174,6 +186,12 @@ class TestVerify:
     def test_infeasible(self, capsys):
         code, _, err = run(capsys, "verify", "--theorem", "tcons", "--n", "9")
         assert code == 2
+
+    def test_jobs_below_one(self, capsys):
+        code, out, err = run(capsys, "verify", "--theorem", "main2n", "--n", "3",
+                             "--jobs", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_jobs_yield_identical_bytes(self, capsys):
         _, out1, _ = run(capsys, "verify", "--theorem", "mainb", "--n", "3",

@@ -118,25 +118,26 @@ class TestVerifyTheorem:
             verify_theorem("main", 0)
 
     def test_mainb_exhaustive_statistics(self):
+        # the sweep visits every nondecreasing table (175 of them); both
+        # sides of the characterization pick out the same 6 tables
         report = verify_theorem("mainb", 3)
-        assert report["candidates"] == 19683
-        # both sides of the characterization pick out the same 6 tables
+        assert report["candidates"] == 175
         assert report["stats"] == {
             "candidate": 13, "bisymmetric_side": 6, "uninorm_side": 6,
         }
 
-    def test_mainb_sampled_plus_sweep(self):
+    def test_mainb_sweep_at_its_bound(self):
         report = verify_theorem("mainb", 4, seed=0)
         assert report["ok"]
-        assert report["sampled"] == 100000
-        assert report["nondecreasing_sweep"] == 24696
-        assert report["sweep_stats"]["candidate"] == 346
-        assert report["sweep_stats"]["bisymmetric_side"] == 22
-        assert report["sweep_stats"]["uninorm_side"] == 22
+        assert report["candidates"] == 24696
+        assert report["stats"] == {
+            "candidate": 346, "bisymmetric_side": 22, "uninorm_side": 22,
+        }
 
     def test_corollary_statistics(self):
         report = verify_theorem("corollary-mainb", 3)
-        assert report["stats"]["idempotent_uninorms"] == 4
+        assert report["candidates"] == 175
+        assert report["stats"] == {"candidate": 13, "idempotent_uninorms": 4}
 
     def test_testca_statistics(self):
         # associative conservative tables: 20 of 64 (n=3), 138 of 4096 (n=4)
@@ -162,10 +163,11 @@ class TestVerifyTheorem:
             report = verify_theorem(name, n, seed=0)
             assert report["ok"], report
 
-    def test_corollary_sampled_plus_sweep(self):
+    def test_corollary_sweep_at_its_bound(self):
         report = verify_theorem("corollary-mainb", 4, seed=0)
         assert report["ok"]
-        assert report["sweep_stats"]["idempotent_uninorms"] == 8
+        assert report["candidates"] == 24696
+        assert report["stats"] == {"candidate": 346, "idempotent_uninorms": 8}
 
     def test_main3_at_its_bound(self):
         report = verify_theorem("main3", 5)
@@ -177,11 +179,24 @@ class TestVerifyTheorem:
             json.dumps(verify_theorem(name, 2))
 
     def test_jobs_do_not_change_the_report(self):
-        a = verify_theorem("mainb", 3, jobs=1)
-        b = verify_theorem("mainb", 3, jobs=2)
-        a.pop("runtime_seconds")
-        b.pop("runtime_seconds")
-        assert a == b
+        claims = [(name, min(3, theorem_bound(name))) for name in theorem_names()]
+        for name, n in claims + [("bis-a", 4), ("bis-b", 4)]:
+            a = verify_theorem(name, n, jobs=1)
+            b = verify_theorem(name, n, jobs=2)
+            a.pop("runtime_seconds")
+            b.pop("runtime_seconds")
+            assert a == b, (name, n)
+
+    def test_worker_count_is_bounded(self, monkeypatch):
+        # checked without starting a pool
+        from uninorms import oracle
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+        assert oracle._worker_count(5000, 64) == 4
+        assert oracle._worker_count(2, 64) == 2
+        assert oracle._worker_count(8, 1) == 1
+        assert oracle._worker_count(1, 64) == 1
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+        assert oracle._worker_count(8, 64) == 1
 
     def test_seed_is_reproducible(self):
         a = verify_theorem("bis-a", 4, seed=7)
@@ -228,15 +243,16 @@ class TestProbe:
 
 class TestProbeFastPaths:
     """The raw-table scan twins used by the probe, against the public
-    checkers, over every conservative table on the 3-chain."""
+    checkers, over every conservative table on the 3- and 4-chain."""
 
-    def test_raw_twins_agree_with_checkers(self):
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_raw_twins_agree_with_checkers(self, n):
         from uninorms.oracle import _raw_rect_associative, _raw_symmetric
         from uninorms import is_associative, is_symmetric
 
-        for op in enumerate_conservative(3):
-            assert _raw_symmetric(op.table, 3) == is_symmetric(op)
-            assert _raw_rect_associative(op.table, 3) == is_associative(op)
+        for op in enumerate_conservative(n):
+            assert _raw_symmetric(op.table, n) == is_symmetric(op)
+            assert _raw_rect_associative(op.table, n) == is_associative(op)
 
     def test_probe_counts_at_size_four(self):
         # 138 associative conservative tables, counted independently with the
@@ -281,3 +297,4 @@ class TestScanEngineCrossValidation:
         space = conservative_space(3)
         split = list(space.iter_range(0, 20)) + list(space.iter_range(20, space.size))
         assert split == list(space)
+

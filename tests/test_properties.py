@@ -209,8 +209,9 @@ class TestExhaustiveEquivalences:
 
 class TestBisymmetryLemma:
     """The three implications tying bisymmetry to associativity and symmetry,
-    exhaustively on the 3-chain. Fixed-seed sampled sweeps at sizes 4 and 5
-    run through the verification engine (see test_oracle)."""
+    exhaustively on the 3-chain. Larger sizes run through the verification
+    engine (see test_oracle): conservative tables at size 4 for the third,
+    fixed-seed samples at sizes 4 and 5 for the first two."""
 
     def test_exhaustive_on_three_chain(self):
         for op in all_tables(3):
