@@ -224,6 +224,11 @@ def _cmd_count(args) -> int:
     else:
         data = {"n": args.n, "e": args.e,
                 "count": count_uninorms_by_neutral(args.n, args.e)}
+    # 0, or no such function (before Python 3.10.7): no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and data["count"] >= 10 ** limit:
+        raise ValueError(f"the count for n = {args.n} has more than {limit} digits, "
+                         f"more than this interpreter prints")
     print(json.dumps(data, sort_keys=True))
     return 0
 

@@ -18,7 +18,6 @@ from math import comb
 from typing import Iterator
 
 from .core import BinaryOperation, FiniteChain, GSpec, make_operation
-from .properties import find_neutral_conservative
 
 
 def generate_all_uninorms_gc(n: int) -> Iterator[BinaryOperation]:
@@ -56,44 +55,27 @@ def _lay_shell(table: list[list[int]], a: int, lo: int, hi: int) -> list[list[in
     return out
 
 
-def count_uninorms(n: int, verify: bool = False) -> int:
+def count_uninorms(n: int) -> int:
     """Number of idempotent discrete uninorms on the n-chain: 2^(n-1).
 
-    With ``verify=True`` the generator is run and its distinct yield is
-    compared against the closed form. Counts are exact arbitrary-precision
-    integers, so no overflow is possible.
+    The closed form is checked against the generator by the ``main2n``
+    claim. Counts are exact arbitrary-precision integers, so no overflow is
+    possible.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    expected = 2 ** (n - 1)
-    if verify:
-        seen = {op.table for op in generate_all_uninorms_gc(n)}
-        if len(seen) != expected:
-            raise AssertionError(
-                f"generator yielded {len(seen)} distinct tables, expected {expected}"
-            )
-    return expected
+    return 2 ** (n - 1)
 
 
-def count_uninorms_by_neutral(n: int, e: int, verify: bool = False) -> int:
+def count_uninorms_by_neutral(n: int, e: int) -> int:
     """Number of idempotent discrete uninorms on the n-chain with neutral
-    element e: the binomial C(n-1, e-1)."""
+    element e: the binomial C(n-1, e-1), checked against the generator by
+    the ``gc`` claim."""
     if n < 1:
         raise ValueError("n must be positive")
     if not 1 <= e <= n:
         raise ValueError(f"neutral element {e} outside 1..{n}")
-    expected = comb(n - 1, e - 1)
-    if verify:
-        actual = sum(
-            1 for op in generate_all_uninorms_gc(n)
-            if find_neutral_conservative(op) == e
-        )
-        if actual != expected:
-            raise AssertionError(
-                f"generator produced {actual} uninorms with neutral {e}, "
-                f"expected {expected}"
-            )
-    return expected
+    return comb(n - 1, e - 1)
 
 
 def make_gbar(spec: GSpec) -> tuple[int, ...]:

@@ -6,8 +6,9 @@ an error rather than a silent sample. Sampling is used only where a bound
 forces it: ``bis-a`` and ``bis-b`` at chain sizes 4 and 5, and part (c) of
 the open-questions probe above size 3. A sample is drawn with one fixed seed
 split into fixed-size chunks, so results do not depend on how many workers
-run the chunks. ``mainb`` and ``corollary-mainb`` sweep every nondecreasing
-table, a class that contains their hypotheses, so they are exhaustive.
+run the chunks. ``mainb``, ``corollary-mainb`` and ``prel34`` scan every
+nondecreasing table with a neutral element, built by backtracking, so they
+are exhaustive.
 
 ``verify_theorem`` is the single entry point: it looks up a named claim in
 the catalog, scans the relevant candidate class, and reports the number of
@@ -34,6 +35,8 @@ from .generate import (
     uninorm_from_gspec,
 )
 from .properties import (
+    _table_rect_witness,
+    _table_symmetry_witness,
     find_neutral_conservative,
     find_neutral_element,
     find_neutral_via_sections,
@@ -237,16 +240,25 @@ def enumerate_nondecreasing(n: int) -> Iterator[BinaryOperation]:
         yield BinaryOperation(chain, t)
 
 
-def _nondecreasing_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _nondecreasing_tables(
+        n: int, e: Optional[int] = None) -> Iterator[tuple[tuple[int, ...], ...]]:
     # a table is n file lines F(1,y) .. F(n,y), each nondecreasing and each
-    # at least the line below it; lines come in lexicographic order
+    # at least the line below it; lines come in lexicographic order. With a
+    # neutral element e, line e is the identity and every line y holds y at
+    # position e.
     lines = list(combinations_with_replacement(range(1, n + 1), n))
+    if e is None:
+        allowed = [lines] * n
+    else:
+        identity = tuple(range(1, n + 1))
+        allowed = [[identity] if y == e else [line for line in lines if line[e - 1] == y]
+                   for y in identity]
 
     def rec(chosen: list) -> Iterator[tuple[tuple[int, ...], ...]]:
         if len(chosen) == n:
             yield tuple(zip(*chosen))
             return
-        for line in lines:
+        for line in allowed[len(chosen)]:
             if not chosen or all(a >= b for a, b in zip(line, chosen[-1])):
                 yield from rec(chosen + [line])
 
@@ -267,9 +279,10 @@ def _feasible(n: int, cap: int, what: str, growth: str) -> None:
 # the scan driver
 #
 # A check takes a raw table and n and returns (stats flags to count, failure
-# reason or None). A source of tables is "nondecreasing" (the backtracking
-# sweep, sequential), a TableSpace name (fixed index chunks), or a
-# "sampled-*" hypothesis (SAMPLE_SIZE fixed-seed draws in fixed chunks).
+# reason or None). A source of tables is "nondecreasing-neutral" (the
+# backtracking sweep over e = 1..n, sequential), a TableSpace name (fixed
+# index chunks), or a "sampled-*" hypothesis (SAMPLE_SIZE fixed-seed draws in
+# fixed chunks).
 # Fixed chunks merged in order keep every report independent of the number
 # of workers.
 
@@ -380,8 +393,9 @@ def _scan_chunk(args) -> dict:
 def _sweep(check, source: str, n: int, seed: int = 0, jobs: int = 1) -> dict:
     """Tally ``check`` over the tables of ``source``; counterexamples are
     capped per chunk, not in total."""
-    if source == "nondecreasing":
-        return _tally(_nondecreasing_tables(n), check, n)
+    if source == "nondecreasing-neutral":
+        tables = (t for e in range(1, n + 1) for t in _nondecreasing_tables(n, e))
+        return _tally(tables, check, n)
     if source in _SPACES:
         spans = _chunk_bounds(_SPACES[source](n).size)
     else:
@@ -403,10 +417,8 @@ def _check_axioms(generated: frozenset, t, n: int):
 
 
 def _check_mainb(t, n: int):
-    # the sweep yields nondecreasing tables only
+    # the sweep yields nondecreasing tables with a neutral element only
     op = _wrap(n, t)
-    if find_neutral_element(op) is None:
-        return (), None
     lhs = is_bisymmetric(op)
     rhs = is_associative(op) and is_symmetric(op)
     delta = ["candidate"]
@@ -420,10 +432,8 @@ def _check_mainb(t, n: int):
 
 
 def _check_corollary_mainb(t, n: int):
-    # the sweep yields nondecreasing tables only
+    # the sweep yields nondecreasing tables with a neutral element only
     op = _wrap(n, t)
-    if find_neutral_element(op) is None:
-        return (), None
     idem = is_idempotent(op)
     cons = is_conservative(op)
     bis = is_bisymmetric(op)
@@ -565,9 +575,7 @@ def _check_prel34(t, n: int):
     op = _wrap(n, t)
     if not is_idempotent(op):
         return (), None
-    e = find_neutral_element(op)
-    if e is None:
-        return (), None
+    e = find_neutral_element(op)  # the sweep guarantees one
     for x in range(1, e + 1):
         for y in range(1, e + 1):
             if op(x, y) != min(x, y):
@@ -577,36 +585,6 @@ def _check_prel34(t, n: int):
             if op(x, y) != max(x, y):
                 return ("candidate",), f"above the neutral element F({x},{y}) != max"
     return ("candidate",), None
-
-
-# open questions: raw-table checks, so the n = 5 conservative sweep pays no
-# wrap; test_oracle checks them against the public checkers
-
-def _raw_symmetric(t, n: int) -> bool:
-    for i in range(n):
-        for j in range(i + 1, n):
-            if t[i][j] != t[j][i]:
-                return False
-    return True
-
-
-def _raw_rect_associative(t, n: int) -> bool:
-    # conservative input assumed; associativity via the rectangle test
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if b == a:
-                continue
-            vab = t[a - 1][b - 1]
-            for c in range(1, n + 1):
-                if c == a or c == b:
-                    continue
-                vac = t[a - 1][c - 1]
-                if vac == vab:
-                    continue
-                vbc = t[b - 1][c - 1]
-                if vbc != vab and vbc != vac:
-                    return False
-    return True
 
 
 _PROBE_A_FLAGS = {
@@ -619,7 +597,9 @@ _PROBE_A_FLAGS = {
 
 
 def _check_probe_a(t, n: int):
-    return _PROBE_A_FLAGS[_raw_rect_associative(t, n), _raw_symmetric(t, n)], None
+    # raw tables, so the n = 5 conservative sweep pays no wrap
+    flags = _PROBE_A_FLAGS[_table_rect_witness(t) is None, _table_symmetry_witness(t) is None]
+    return flags, None
 
 
 def _check_probe_c(t, n: int):
@@ -810,9 +790,9 @@ _CATALOG = {
     "gc": (12, "uninorms with neutral element e number C(n-1, e-1)", _verify_gc),
     "qob": (12, "single-peaked maxima, contour algorithm, and patchwork agree", _verify_qob),
     "mainb": (4, "bisymmetry + monotonicity + neutral element = discrete uninorm",
-              _scan(_check_mainb, "nondecreasing")),
+              _scan(_check_mainb, "nondecreasing-neutral")),
     "corollary-mainb": (4, "adding idempotency or conservativeness yields the idempotent ones",
-                        _scan(_check_corollary_mainb, "nondecreasing")),
+                        _scan(_check_corollary_mainb, "nondecreasing-neutral")),
     "bis-a": (5, "bisymmetric with neutral element implies associative and symmetric",
               _scan(_check_bis_a, "full", above3="sampled-neutral")),
     "bis-b": (5, "associative and symmetric implies bisymmetric",
@@ -831,7 +811,7 @@ _CATALOG = {
                _scan(_check_testca, "conservative")),
     "rec8n": (10, "there are n(n-1)(n-2) test rectangles, C(n,3) up to symmetry", _verify_rec8n),
     "prel34": (4, "idempotent nondecreasing with neutral e: min below e, max above",
-               _scan(_check_prel34, "nondecreasing")),
+               _scan(_check_prel34, "nondecreasing-neutral")),
     "consj": (3, "conservativeness = closure under every subset", _scan(_check_consj, "full")),
     "open-questions": (5, "empirical probes, no assertion made", _verify_open_questions),
 }

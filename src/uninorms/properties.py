@@ -67,10 +67,17 @@ def is_conservative_via_contour(op: BinaryOperation) -> bool:
 
 
 def symmetry_witness(op: BinaryOperation) -> Optional[tuple[int, int]]:
-    for x in range(1, op.n + 1):
-        for y in range(x + 1, op.n + 1):
-            if op(x, y) != op(y, x):
-                return (x, y)
+    return _table_symmetry_witness(op.table)
+
+
+def _table_symmetry_witness(t) -> Optional[tuple[int, int]]:
+    """First (x, y), x < y, with F(x,y) != F(y,x) in a raw table
+    (``t[x-1][y-1]`` is F(x,y))."""
+    n = len(t)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if t[i][j] != t[j][i]:
+                return (i + 1, j + 1)
     return None
 
 
@@ -183,12 +190,11 @@ def rect_associativity_witness(op: BinaryOperation) -> Optional[RectWitness]:
     when some pairwise distinct a, b, c give pairwise distinct values
     F(a,b), F(a,c), F(b,c)."""
     _require(op, conservative=True)
-    for rect in rectangles(op.n, symmetric=False):
-        a, b, c = rect
-        vab, vac, vbc = op(a, b), op(a, c), op(b, c)
-        if vab != vac and vab != vbc and vac != vbc:
-            return RectWitness((a, b, c), rect, (vab, vac, vbc))
-    return None
+    triple = _table_rect_witness(op.table)
+    if triple is None:
+        return None
+    a, b, c = triple
+    return RectWitness(triple, Rectangle(a, b, c), (op(a, b), op(a, c), op(b, c)))
 
 
 def is_associative_conservative_rect(op: BinaryOperation) -> bool:
@@ -199,12 +205,33 @@ def is_bisymmetric_via_rect(op: BinaryOperation) -> bool:
     """For conservative symmetric operations, bisymmetry is the same as
     associativity, so the rectangle test decides it."""
     _require(op, conservative=True, symmetric=True)
-    for rect in rectangles(op.n, symmetric=True):
-        a, b, c = rect
-        vab, vac, vbc = op(a, b), op(a, c), op(b, c)
-        if vab != vac and vab != vbc and vac != vbc:
-            return False
-    return True
+    return _table_rect_witness(op.table) is None
+
+
+def _table_rect_witness(t) -> Optional[tuple[int, int, int]]:
+    """First pairwise distinct (a, b, c), in the order of ``rectangles``,
+    whose values F(a,b), F(a,c), F(b,c) in a raw table (``t[x-1][y-1]`` is
+    F(x,y)) are pairwise distinct.
+
+    Assumes a conservative table: only then does such a triple decide that
+    the operation is not associative.
+    """
+    n = len(t)
+    for a in range(n):
+        for b in range(n):
+            if b == a:
+                continue
+            vab = t[a][b]
+            for c in range(n):
+                if c == a or c == b:
+                    continue
+                vac = t[a][c]
+                if vac == vab:
+                    continue
+                vbc = t[b][c]
+                if vbc != vab and vbc != vac:
+                    return (a + 1, b + 1, c + 1)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +255,15 @@ class NeutralSections(NamedTuple):
 def find_neutral_via_sections(op: BinaryOperation) -> Optional[NeutralSections]:
     """Graphical version: look for a vertical and a horizontal section meeting
     on the diagonal on which the operation restricts to the identity. The
-    crossing point of the two sections is the neutral element."""
+    crossing point of the two sections is the neutral element.
+
+    It reads the level sets, not the table: e qualifies when, for every x,
+    the level set of value x contains both (x, e) and (e, x)."""
     n = op.n
+    part = contour_partition(op)
+    level = {v: set(cls) for v, cls in zip(part.values, part.classes)}
     for e in range(1, n + 1):
-        if all(op(e, y) == y for y in range(1, n + 1)) and all(
-            op(x, e) == x for x in range(1, n + 1)
-        ):
+        if all({(x, e), (e, x)} <= level.get(x, set()) for x in range(1, n + 1)):
             vertical = tuple((e, y) for y in range(1, n + 1))
             horizontal = tuple((x, e) for x in range(1, n + 1))
             return NeutralSections(e, vertical, horizontal)

@@ -216,6 +216,20 @@ class TestCount:
         code, _, err = run(capsys, "count", "--n", "3", "--e", "9")
         assert code == 2
 
+    def test_digit_limit(self, capsys):
+        # the largest n whose count 2^(n-1) the interpreter still prints
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter prints integers of any length")
+        n = (10 ** limit).bit_length()
+        code, out, _ = run(capsys, "count", "--n", str(n))
+        assert code == 0
+        assert json.loads(out)["count"] == 2 ** (n - 1)
+        code, out, err = run(capsys, "count", "--n", str(n + 1))
+        assert code == 2 and out == ""
+        assert err == (f"error: the count for n = {n + 1} has more than {limit} digits, "
+                       f"more than this interpreter prints\n")
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):

@@ -20,6 +20,7 @@ from uninorms import (
     make_gbar,
     order_to_uninorm,
     uninorm_from_gspec,
+    verify_theorem,
 )
 
 from test_core import max_op, min_op
@@ -82,7 +83,9 @@ class TestCounting:
         assert count_uninorms(n) == count
 
     def test_total_verification_mode(self):
-        assert count_uninorms(9, verify=True) == 256
+        # the closed form against the generator, through its claim
+        report = verify_theorem("main2n", 9)
+        assert report["ok"] and report["distinct"] == 256 == count_uninorms(9)
 
     @pytest.mark.parametrize("n,e,count", [(3, 2, 2), (4, 1, 1), (7, 1, 1), (5, 3, 6)])
     def test_by_neutral(self, n, e, count):
@@ -90,8 +93,11 @@ class TestCounting:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_by_neutral_verification_mode(self, n):
-        for e in range(1, n + 1):
-            count_uninorms_by_neutral(n, e, verify=True)
+        # the binomials against the generator, through their claim
+        report = verify_theorem("gc", n)
+        assert report["ok"]
+        assert report["by_neutral"] == {
+            str(e): count_uninorms_by_neutral(n, e) for e in range(1, n + 1)}
 
     def test_by_neutral_range_check(self):
         with pytest.raises(ValueError):

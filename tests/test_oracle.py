@@ -7,6 +7,7 @@ from uninorms import (
     enumerate_all_operations,
     enumerate_conservative,
     enumerate_nondecreasing,
+    find_neutral_element,
     fixture,
     probe_open_questions,
     profile,
@@ -59,6 +60,17 @@ class TestEnumerators:
     def test_nondecreasing_bound(self):
         with pytest.raises(ValueError):
             next(enumerate_nondecreasing(5))
+
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 13), (4, 346)])
+    def test_nondecreasing_with_neutral_source(self, n, count):
+        # the source of mainb, corollary-mainb and prel34 against filtering
+        # every nondecreasing table
+        from uninorms.oracle import _nondecreasing_tables
+        built = [t for e in range(1, n + 1) for t in _nondecreasing_tables(n, e)]
+        filtered = {op.table for op in enumerate_nondecreasing(n)
+                    if find_neutral_element(op) is not None}
+        assert len(built) == count
+        assert set(built) == filtered
 
 
 class TestProfile:
@@ -118,10 +130,11 @@ class TestVerifyTheorem:
             verify_theorem("main", 0)
 
     def test_mainb_exhaustive_statistics(self):
-        # the sweep visits every nondecreasing table (175 of them); both
-        # sides of the characterization pick out the same 6 tables
+        # the sweep visits every nondecreasing table with a neutral element
+        # (13 of them); both sides of the characterization pick out the
+        # same 6 tables
         report = verify_theorem("mainb", 3)
-        assert report["candidates"] == 175
+        assert report["candidates"] == 13
         assert report["stats"] == {
             "candidate": 13, "bisymmetric_side": 6, "uninorm_side": 6,
         }
@@ -129,14 +142,14 @@ class TestVerifyTheorem:
     def test_mainb_sweep_at_its_bound(self):
         report = verify_theorem("mainb", 4, seed=0)
         assert report["ok"]
-        assert report["candidates"] == 24696
+        assert report["candidates"] == 346
         assert report["stats"] == {
             "candidate": 346, "bisymmetric_side": 22, "uninorm_side": 22,
         }
 
     def test_corollary_statistics(self):
         report = verify_theorem("corollary-mainb", 3)
-        assert report["candidates"] == 175
+        assert report["candidates"] == 13
         assert report["stats"] == {"candidate": 13, "idempotent_uninorms": 4}
 
     def test_testca_statistics(self):
@@ -166,7 +179,7 @@ class TestVerifyTheorem:
     def test_corollary_sweep_at_its_bound(self):
         report = verify_theorem("corollary-mainb", 4, seed=0)
         assert report["ok"]
-        assert report["candidates"] == 24696
+        assert report["candidates"] == 346
         assert report["stats"] == {"candidate": 346, "idempotent_uninorms": 8}
 
     def test_main3_at_its_bound(self):
@@ -242,17 +255,17 @@ class TestProbe:
 
 
 class TestProbeFastPaths:
-    """The raw-table scan twins used by the probe, against the public
-    checkers, over every conservative table on the 3- and 4-chain."""
+    """The raw-table rectangle loop the probe runs, against the triple-loop
+    associativity checker, over every conservative table on the 3- and
+    4-chain."""
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_raw_twins_agree_with_checkers(self, n):
-        from uninorms.oracle import _raw_rect_associative, _raw_symmetric
-        from uninorms import is_associative, is_symmetric
+    def test_rect_helper_agrees_with_is_associative(self, n):
+        from uninorms.properties import _table_rect_witness
+        from uninorms import is_associative
 
         for op in enumerate_conservative(n):
-            assert _raw_symmetric(op.table, n) == is_symmetric(op)
-            assert _raw_rect_associative(op.table, n) == is_associative(op)
+            assert (_table_rect_witness(op.table) is None) == is_associative(op)
 
     def test_probe_counts_at_size_four(self):
         # 138 associative conservative tables, counted independently with the
