@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain, islice
 from typing import Optional
 
 from .core import (
@@ -125,33 +126,29 @@ def _read_input(path: str) -> str:
 
 def _cmd_enumerate(args) -> int:
     n = args.n
+    # kind -> (source, the JSON object of an item, the text of an item)
+    source, as_json, as_text = {
+        "uninorms": (generate_all_uninorms_gc, table_to_json_dict, _table_text),
+        "conservative": (enumerate_conservative, table_to_json_dict, _table_text),
+        "single-peaked": (enumerate_single_peaked,
+                          lambda order: {"n": n, "seq": list(order.seq)}, format_order),
+        "gspecs": (enumerate_gspecs,
+                   lambda spec: {"n": n, "e": spec.e, "g": list(spec.g)},
+                   lambda spec: f"{spec.e} {' '.join(str(v) for v in spec.g)}\n"),
+    }[args.kind]
+    items = source(n)
+    # the sources check n when asked for their first item: ask before the
+    # output is opened, so a bad n leaves an existing file untouched
+    head = list(islice(items, 1))
     out, close = _open_output(args.output)
     count = 0
     try:
-        if args.kind == "uninorms":
-            for op in generate_all_uninorms_gc(n):
-                _emit_table(out, op, args.format)
-                count += 1
-        elif args.kind == "conservative":
-            for op in enumerate_conservative(n):
-                _emit_table(out, op, args.format)
-                count += 1
-        elif args.kind == "single-peaked":
-            for order in enumerate_single_peaked(n):
-                if args.format == "json":
-                    out.write(json.dumps(
-                        {"n": n, "seq": list(order.seq)}, sort_keys=True) + "\n")
-                else:
-                    out.write(format_order(order))
-                count += 1
-        else:  # gspecs
-            for spec in enumerate_gspecs(n):
-                if args.format == "json":
-                    out.write(json.dumps(
-                        {"n": n, "e": spec.e, "g": list(spec.g)}, sort_keys=True) + "\n")
-                else:
-                    out.write(f"{spec.e} {' '.join(str(v) for v in spec.g)}\n")
-                count += 1
+        for item in chain(head, items):
+            if args.format == "json":
+                out.write(json.dumps(as_json(item), sort_keys=True) + "\n")
+            else:
+                out.write(as_text(item))
+            count += 1
     finally:
         if close:
             out.close()
@@ -159,11 +156,8 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _emit_table(out, op, fmt: str) -> None:
-    if fmt == "json":
-        out.write(json.dumps(table_to_json_dict(op), sort_keys=True) + "\n")
-    else:
-        out.write(format_table(op) + "\n")
+def _table_text(op) -> str:
+    return format_table(op) + "\n"
 
 
 def _cmd_check(args) -> int:

@@ -25,7 +25,7 @@ class FiniteChain:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ValueError(f"chain size must be a positive integer, got {self.n!r}")
 
     def elements(self) -> range:
@@ -36,7 +36,8 @@ class FiniteChain:
 class BinaryOperation:
     """A total binary operation on a finite chain, stored as a dense table.
 
-    ``table[x-1][y-1]`` is the value F(x, y); every entry must lie in 1..n.
+    ``table[x-1][y-1]`` is the value F(x, y); every entry must be an int
+    (not a bool) in 1..n.
     """
 
     chain: FiniteChain
@@ -48,8 +49,8 @@ class BinaryOperation:
             raise ValueError(f"table must be {n}x{n}")
         for row in self.table:
             for v in row:
-                if not isinstance(v, int) or not 1 <= v <= n:
-                    raise ValueError(f"table entry {v!r} outside 1..{n}")
+                if type(v) is not int or not 1 <= v <= n:
+                    raise ValueError(f"table entry {v!r} is not an integer in 1..{n}")
 
     @property
     def n(self) -> int:
@@ -270,7 +271,7 @@ def parse_table_auto(text: str) -> BinaryOperation:
     if stripped.startswith("{"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ValueError(f"invalid JSON table: {exc}")
         return table_from_json_dict(data)
     return parse_table(text)

@@ -135,19 +135,21 @@ def gspec_collision_report(n: int) -> dict:
 
     The parameterization is not assumed injective; this measures it.
     """
-    image: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
-    total = 0
-    for spec in enumerate_gspecs(n):
-        total += 1
-        op = uninorm_from_gspec(spec)
-        image.setdefault(op.table, []).append((spec.e, spec.g))
-    collisions = {
-        k: v for k, v in image.items() if len(v) > 1
-    }
+    sources, collisions = _gspec_sources(n)
     return {
         "n": n,
-        "specs": total,
-        "distinct_operations": len(image),
+        "specs": sum(len(v) for v in sources.values()),
+        "distinct_operations": len(sources),
         "colliding_operations": len(collisions),
-        "collisions": sorted(collisions.values()),
+        "collisions": collisions,
     }
+
+
+def _gspec_sources(n: int) -> tuple[dict, list]:
+    """Each table of the patchwork construction mapped to the parameters
+    (e, g) that produce it, in parameter order, and the sorted parameter
+    lists of the tables produced more than once."""
+    sources: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
+    for spec in enumerate_gspecs(n):
+        sources.setdefault(uninorm_from_gspec(spec).table, []).append((spec.e, spec.g))
+    return sources, sorted(v for v in sources.values() if len(v) > 1)

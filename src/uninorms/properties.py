@@ -67,13 +67,9 @@ def is_conservative_via_contour(op: BinaryOperation) -> bool:
 
 
 def symmetry_witness(op: BinaryOperation) -> Optional[tuple[int, int]]:
-    return _table_symmetry_witness(op.table)
-
-
-def _table_symmetry_witness(t) -> Optional[tuple[int, int]]:
-    """First (x, y), x < y, with F(x,y) != F(y,x) in a raw table
-    (``t[x-1][y-1]`` is F(x,y))."""
-    n = len(t)
+    """First (x, y), x < y, with F(x,y) != F(y,x)."""
+    n = op.n
+    t = op.table
     for i in range(n):
         for j in range(i + 1, n):
             if t[i][j] != t[j][i]:

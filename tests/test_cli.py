@@ -68,6 +68,14 @@ class TestEnumerate:
         assert code == 0 and out == ""
         assert "2" in path.read_text()
 
+    def test_bad_n_leaves_output_file_alone(self, capsys, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("keep me\n")
+        code, _, err = run(capsys, "enumerate", "conservative", "--n", "9",
+                           "--output", str(path))
+        assert code == 2 and err.startswith("error: ")
+        assert path.read_text() == "keep me\n"
+
     def test_infeasible_n(self, capsys):
         code, _, err = run(capsys, "enumerate", "conservative", "--n", "9")
         assert code == 2
@@ -126,6 +134,16 @@ class TestCheck:
         path = tmp_path / "bad.json"
         path.write_text(text)
         code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+    def test_deeply_nested_json(self, capsys, monkeypatch):
+        import io
+        depth = 100_000
+        text = '{"n": ' + "[" * depth + "1" + "]" * depth + "}"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run(capsys, "check", "-")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -47,6 +47,10 @@ class TestFiniteChain:
         with pytest.raises(ValueError):
             FiniteChain(0)
 
+    def test_rejects_bool(self):
+        with pytest.raises(ValueError):
+            FiniteChain(True)
+
 
 class TestMakeOperation:
     def test_one_element_chain(self):
@@ -67,6 +71,10 @@ class TestMakeOperation:
     def test_entry_out_of_range(self):
         with pytest.raises(ValueError):
             make_operation(2, [[1, 3], [2, 2]])
+
+    def test_bool_entry(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            make_operation(2, [[True, 2], [2, 2]])
 
 
 class TestContourPartition:

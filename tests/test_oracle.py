@@ -305,6 +305,14 @@ class TestScanEngineCrossValidation:
             assert len(set(listed)) == space.size
             assert [space.decode(i) for i in range(space.size)] == listed
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_symmetric_conservative_space_is_the_symmetric_subset(self, n):
+        # the probe counts symmetric conservative tables from this space alone
+        from uninorms import is_symmetric
+        from uninorms.oracle import conservative_symmetric_space
+        subset = [op.table for op in enumerate_conservative(n) if is_symmetric(op)]
+        assert list(conservative_symmetric_space(n)) == subset
+
     def test_chunked_iteration_matches(self):
         from uninorms.oracle import conservative_space
         space = conservative_space(3)
