@@ -71,9 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="chain size")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--output", default="-", help="output file, '-' for stdout")
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
-                   help="accepted for interface uniformity; enumeration is "
-                        "sequential so its order never depends on this")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("check", help="profile a table against properties")

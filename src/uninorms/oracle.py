@@ -21,8 +21,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations_with_replacement, permutations
-from math import comb
+from itertools import chain, combinations_with_replacement, islice, permutations, product
+from math import comb, prod
+from operator import add
 from typing import Iterator, Optional
 
 import numpy as np
@@ -108,98 +109,95 @@ def profile(op: BinaryOperation) -> PropertyProfile:
 # ---------------------------------------------------------------------------
 # indexed table spaces
 #
-# A space is a lexicographically indexed family of tables: a template with
-# fixed entries plus free cells, each with its own ascending value list. The
-# index doubles as the work-partitioning key for parallel scans.
+# A space is a product of row choices: a table is one pick per row, indexed
+# lexicographically by its picks with the last row changing fastest. The
+# index doubles as the work-partitioning key for parallel scans. iter_range,
+# the one way to a table, cuts an index range into blocks of fixed leading
+# picks times every pick of the other rows, each read off itertools.product.
+# In a mirrored (symmetric) space row i picks only the cells (i, i..n-1): the
+# last rows, at most _CORNER_CAP picks together, are completed once into
+# corner tables, the leading rows are a plain space, and each table joins the
+# cells its leading picks set in every row to the rest of that row.
+
+_CORNER_CAP = 256
+
 
 class TableSpace:
-    def __init__(self, n: int, cells, choices, base, mirror: bool = False):
-        self.n = n
-        self.cells = cells
-        self.choices = choices
-        self.base = base
+    def __init__(self, rows: list, mirror: bool = False):
+        self.rows = rows
         self.mirror = mirror
-        size = 1
-        for ch in choices:
-            size *= len(ch)
-        self.size = size
+        # _sizes[k]: the number of tables the rows k.. span together
+        self._sizes = [prod(map(len, rows[k:])) for k in range(len(rows) + 1)]
+        self.size = self._sizes[0]
+        if mirror:
+            h = next(k for k, size in enumerate(self._sizes) if size <= _CORNER_CAP)
+            corners = [()]
+            for row in reversed(rows[h:]):
+                corners = [(u,) + tuple(map(add, [(x,) for x in u[1:]], c))
+                           for u in row for c in corners]
+            self._head = TableSpace(rows[:h])
+            self._corners = corners
 
     def decode(self, index: int) -> tuple[tuple[int, ...], ...]:
-        digits = [0] * len(self.choices)
-        for k in range(len(self.choices) - 1, -1, -1):
-            index, digits[k] = divmod(index, len(self.choices[k]))
-        rows = [row[:] for row in self.base]
-        self._apply(rows, digits)
-        return tuple(tuple(r) for r in rows)
-
-    def _apply(self, rows, digits) -> None:
-        for (i, j), ch, d in zip(self.cells, self.choices, digits):
-            rows[i][j] = ch[d]
-            if self.mirror:
-                rows[j][i] = ch[d]
+        return next(self.iter_range(index, index + 1))
 
     def iter_range(self, start: int, stop: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        """Tables start..stop-1 in index order, via odometer increments."""
-        if start >= stop:
-            return
-        digits = [0] * len(self.choices)
-        index = start
-        for k in range(len(self.choices) - 1, -1, -1):
-            index, digits[k] = divmod(index, len(self.choices[k]))
-        rows = [row[:] for row in self.base]
-        self._apply(rows, digits)
-        for _ in range(start, stop):
-            yield tuple(tuple(r) for r in rows)
-            for k in range(len(self.choices) - 1, -1, -1):
-                digits[k] += 1
-                if digits[k] < len(self.choices[k]):
-                    i, j = self.cells[k]
-                    rows[i][j] = self.choices[k][digits[k]]
-                    if self.mirror:
-                        rows[j][i] = self.choices[k][digits[k]]
-                    break
-                digits[k] = 0
-                i, j = self.cells[k]
-                rows[i][j] = self.choices[k][0]
-                if self.mirror:
-                    rows[j][i] = self.choices[k][0]
+        """Tables start..stop-1 in index order."""
+        if not 0 <= start <= stop <= self.size:
+            raise IndexError(f"index range {start}..{stop} outside 0..{self.size}")
+        if self.mirror:
+            return self._mirrored(start, stop)
+        return chain.from_iterable(product(*pools) for pools in self._blocks(start, stop))
+
+    def _blocks(self, start: int, stop: int, k: int = 0, fixed: tuple = ()):
+        # per-row pools whose products are tables start..stop-1 of the rows
+        # k.., each after the fixed picks of the rows before k
+        if start == 0 and stop == self._sizes[k]:
+            yield (*fixed, *self.rows[k:])
+        elif start < stop:
+            block = self._sizes[k + 1]
+            for p in range(start // block, (stop - 1) // block + 1):
+                yield from self._blocks(max(start - p * block, 0), min(stop - p * block, block),
+                                        k + 1, (*fixed, (self.rows[k][p],)))
+
+    def _mirrored(self, start: int, stop: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        n, h, span = len(self.rows), len(self._head.rows), len(self._corners)
+        first = start // span
+        for q, head in enumerate(self._head.iter_range(first, (stop - 1) // span + 1), first):
+            # row i: its cells in the columns of the leading rows before it
+            lefts = [tuple(head[m][i - m] for m in range(min(i, h))) for i in range(n)]
+            for corner in islice(self._corners, max(start - q * span, 0), stop - q * span):
+                yield tuple(map(add, lefts, head + corner))
 
     def __iter__(self):
         return self.iter_range(0, self.size)
 
 
+def _space(n: int, values, mirror: bool = False) -> TableSpace:
+    """The tables whose cell (i, j) takes each of ``values(i, j)`` (0-based,
+    ascending); a mirrored space reads them for j >= i only."""
+    return TableSpace([list(product(*(values(i, j) for j in range(i if mirror else 0, n))))
+                       for i in range(n)], mirror)
+
+
 def full_space(n: int) -> TableSpace:
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    values = tuple(range(1, n + 1))
-    return TableSpace(n, cells, [values] * len(cells), [[0] * n for _ in range(n)])
+    return _space(n, lambda i, j: range(1, n + 1))
 
 
 def idempotent_space(n: int) -> TableSpace:
-    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-    values = tuple(range(1, n + 1))
-    base = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return TableSpace(n, cells, [values] * len(cells), base)
+    return _space(n, lambda i, j: (i + 1,) if i == j else range(1, n + 1))
 
 
 def conservative_space(n: int) -> TableSpace:
-    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-    choices = [tuple(sorted((i + 1, j + 1))) for (i, j) in cells]
-    base = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return TableSpace(n, cells, choices, base)
+    return _space(n, lambda i, j: sorted({i + 1, j + 1}))
 
 
 def conservative_symmetric_space(n: int) -> TableSpace:
-    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    choices = [(i + 1, j + 1) for (i, j) in cells]
-    base = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return TableSpace(n, cells, choices, base, mirror=True)
+    return _space(n, lambda i, j: sorted({i + 1, j + 1}), mirror=True)
 
 
 def symmetric_space(n: int) -> TableSpace:
-    cells = [(i, j) for i in range(n) for j in range(i, n)]
-    values = tuple(range(1, n + 1))
-    return TableSpace(n, cells, [values] * len(cells),
-                      [[0] * n for _ in range(n)], mirror=True)
+    return _space(n, lambda i, j: range(1, n + 1), mirror=True)
 
 
 def _wrap(n: int, table: tuple[tuple[int, ...], ...]) -> BinaryOperation:

@@ -190,7 +190,6 @@ def test_criterion_12_determinism(capsys, tmp_path, monkeypatch):
     for argv, jobs_pairs in (
         (["verify", "--theorem", "mainb", "--n", "3"], ("1", "3")),
         (["verify", "--theorem", "bis-a", "--n", "4"], ("1", "2")),
-        (["enumerate", "uninorms", "--n", "4"], ("1", "2")),
     ):
         _, a = cli_stdout(capsys, *argv, "--jobs", jobs_pairs[0])
         _, b = cli_stdout(capsys, *argv, "--jobs", jobs_pairs[1])

@@ -260,6 +260,12 @@ class TestUsage:
             main(["render", "x", "--style", "png"])
         assert exc.value.code == 2
 
+    def test_enumerate_takes_no_jobs(self, capsys):
+        # enumeration is sequential; only verify takes --jobs
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "uninorms", "--n", "3", "--jobs", "2"])
+        assert exc.value.code == 2
+
 
 def test_console_script_end_to_end(tmp_path):
     result = subprocess.run(

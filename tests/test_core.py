@@ -190,6 +190,40 @@ class TestTableFormats:
             parse_table_auto(text)
 
 
+# arbitrary JSON; objects whose "n" and "table" keys hold it; and k x k
+# tables whose "n" is k, k as a float, a boolean or arbitrary JSON
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=20,
+)
+json_tables = st.fixed_dictionaries({"n": json_values, "table": json_values})
+square_tables = st.integers(0, 3).flatmap(lambda k: st.fixed_dictionaries({
+    "n": st.sampled_from([k, float(k), k == 1]) | json_values,
+    "table": st.lists(st.lists(st.integers(-1, 5) | json_values, min_size=k, max_size=k),
+                      min_size=k, max_size=k),
+}))
+
+
+class TestParseFuzz:
+    """The parsers return a value or raise ValueError, whatever the input."""
+
+    @given(st.text() | st.text(alphabet=" \n#-0123456789"))
+    def test_arbitrary_text(self, text):
+        for parse in (parse_table_auto, parse_order):
+            try:
+                parse(text)
+            except ValueError:
+                pass
+
+    @given(json_values | json_tables | square_tables)
+    def test_arbitrary_json(self, data):
+        try:
+            parse_table_auto(json.dumps(data))
+        except ValueError:
+            pass
+
+
 class TestOrders:
     def test_order_round_trip(self):
         order = parse_order("2 3 4 1 5")

@@ -282,28 +282,60 @@ class TestProbeFastPaths:
 class TestScanEngineCrossValidation:
     """The indexed table spaces against plain itertools enumeration."""
 
-    def test_full_space_matches_product(self):
+    # each space is the tables of its defining predicate; t[i][j] is 0-based
+    _PREDICATES = {
+        "full": lambda t, i, j: True,
+        "idempotent": lambda t, i, j: i != j or t[i][j] == i + 1,
+        "conservative": lambda t, i, j: t[i][j] in (i + 1, j + 1),
+        "conservative-symmetric": lambda t, i, j: t[i][j] in (i + 1, j + 1) and t[i][j] == t[j][i],
+        "symmetric": lambda t, i, j: t[i][j] == t[j][i],
+    }
+
+    @pytest.mark.parametrize("name,n", [(name, n) for name in _PREDICATES for n in (1, 2, 3)])
+    def test_full_space_matches_product(self, name, n):
         from itertools import product
-        from uninorms.oracle import full_space
+        from uninorms.oracle import _SPACES
+        cells = [(i, j) for i in range(n) for j in range(n)]
         direct = [
-            tuple(tuple(values[i * 2 + j] for j in range(2)) for i in range(2))
-            for values in product((1, 2), repeat=4)
+            t for t in (tuple(tuple(values[i * n:(i + 1) * n]) for i in range(n))
+                        for values in product(range(1, n + 1), repeat=n * n))
+            if all(self._PREDICATES[name](t, i, j) for i, j in cells)
         ]
-        assert list(full_space(2)) == direct
+        assert list(_SPACES[name](n)) == direct
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_mirrored_space_past_its_corner(self, n):
+        # past a few hundred tables a mirrored space joins its leading rows
+        # to precomputed corner tables; compare with mirroring each choice of
+        # the cells above the diagonal by hand
+        from itertools import product
+        from uninorms.oracle import conservative_symmetric_space
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        direct = []
+        for values in product(*[(i + 1, j + 1) for i, j in upper]):
+            t = [[i + 1 if i == j else 0 for j in range(n)] for i in range(n)]
+            for (i, j), v in zip(upper, values):
+                t[i][j] = t[j][i] = v
+            direct.append(tuple(map(tuple, t)))
+        assert list(conservative_symmetric_space(n)) == direct
 
     def test_spaces_decode_matches_iteration(self):
         from uninorms.oracle import (
             conservative_space,
             conservative_symmetric_space,
+            full_space,
             idempotent_space,
             symmetric_space,
         )
-        for space in (conservative_space(3), conservative_symmetric_space(3),
+        for space in (full_space(2), conservative_space(3), conservative_symmetric_space(3),
                       idempotent_space(2), symmetric_space(2)):
             listed = list(space)
             assert len(listed) == space.size
             assert len(set(listed)) == space.size
             assert [space.decode(i) for i in range(space.size)] == listed
+            for index in (-1, space.size):
+                with pytest.raises(IndexError):
+                    space.decode(index)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_symmetric_conservative_space_is_the_symmetric_subset(self, n):
@@ -313,9 +345,14 @@ class TestScanEngineCrossValidation:
         subset = [op.table for op in enumerate_conservative(n) if is_symmetric(op)]
         assert list(conservative_symmetric_space(n)) == subset
 
-    def test_chunked_iteration_matches(self):
-        from uninorms.oracle import conservative_space
-        space = conservative_space(3)
-        split = list(space.iter_range(0, 20)) + list(space.iter_range(20, space.size))
-        assert split == list(space)
-
+    @pytest.mark.parametrize("name,n", [("full", 3), ("idempotent", 3), ("conservative", 4),
+                                        ("conservative-symmetric", 5), ("symmetric", 3)])
+    def test_chunked_iteration_matches(self, name, n):
+        from uninorms.oracle import _SPACES, _chunk_bounds
+        space = _SPACES[name](n)
+        listed = list(space)
+        chunks = [t for first, stop in _chunk_bounds(space.size)
+                  for t in space.iter_range(first, stop)]
+        assert chunks == listed
+        cut = space.size * 2 // 5 + 1
+        assert list(space.iter_range(0, cut)) + list(space.iter_range(cut, space.size)) == listed
