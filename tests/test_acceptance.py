@@ -58,7 +58,7 @@ def test_criterion_02_exhaustive_converse():
         r = verify_theorem("main", n)
         ok = ok and r["ok"] and r["brute_force_count"] == r["generated_count"]
     elapsed = time.perf_counter() - start
-    report(2, f"brute-forced axioms equal the generated set, n<=6 "
+    report(2, f"the searched axiom tables equal the generated set, n<=6 "
               f"({elapsed:.2f}s < 30s)", ok and elapsed < 30)
 
 

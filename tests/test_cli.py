@@ -211,6 +211,14 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("name,n", [("bis-a", 4), ("main", 3)])
+    def test_negative_seed(self, capsys, name, n):
+        # a sampling claim and one that draws nothing
+        code, out, err = run(capsys, "verify", "--theorem", name, "--n", str(n),
+                             "--seed", "-5")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be non-negative, got -5\n"
+
     def test_jobs_yield_identical_bytes(self, capsys):
         _, out1, _ = run(capsys, "verify", "--theorem", "mainb", "--n", "3",
                          "--jobs", "1")

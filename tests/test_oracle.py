@@ -9,12 +9,15 @@ from uninorms import (
     enumerate_nondecreasing,
     find_neutral_element,
     fixture,
+    is_associative,
+    is_nondecreasing,
     probe_open_questions,
     profile,
     theorem_bound,
     theorem_names,
     verify_theorem,
 )
+from uninorms.oracle import _ASSOCIATIVITY
 
 from test_core import max_op, tables
 
@@ -165,6 +168,25 @@ class TestVerifyTheorem:
         assert report["brute_force_count"] == 16
         assert report["generated_count"] == 16
 
+    @pytest.mark.parametrize("name", ["main", "main2n"])
+    def test_a_generated_table_the_search_misses_is_a_counterexample(self, monkeypatch, name):
+        # the search loses its last table and repeats its first, so the count
+        # still matches and only the comparison from the generated side sees it
+        from uninorms import oracle
+        search = oracle._search
+
+        def lossy(*args, **kwargs):
+            decided, tables = search(*args, **kwargs)
+            return decided, tables[:-1] + tables[:1]
+
+        last = search(4, oracle._conservative, mirror=True, nondecreasing=True)[1][-1]
+        monkeypatch.setattr(oracle, "_search", lossy)
+        report = verify_theorem(name, 4)
+        assert not report["ok"]
+        assert report["counterexamples"] == [{
+            "table": oracle._json_rows(last),
+            "reason": "generated and passes the axioms, but the search did not find it"}]
+
     def test_rec8n_report(self):
         report = verify_theorem("rec8n", 4)
         assert report["candidates"] == 24
@@ -255,9 +277,9 @@ class TestProbe:
 
 
 class TestProbeFastPaths:
-    """The raw-table rectangle loop the probe runs, against the triple-loop
-    associativity checker, over every conservative table on the 3- and
-    4-chain."""
+    """The raw-table rectangle loop behind the rectangle checkers, against the
+    triple-loop associativity checker, over every conservative table on the
+    3- and 4-chain."""
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_rect_helper_agrees_with_is_associative(self, n):
@@ -339,7 +361,7 @@ class TestScanEngineCrossValidation:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_symmetric_conservative_space_is_the_symmetric_subset(self, n):
-        # the probe counts symmetric conservative tables from this space alone
+        # enumerate_conservative(symmetric_only=True) reads this space alone
         from uninorms import is_symmetric
         from uninorms.oracle import conservative_symmetric_space
         subset = [op.table for op in enumerate_conservative(n) if is_symmetric(op)]
@@ -356,3 +378,28 @@ class TestScanEngineCrossValidation:
         assert chunks == listed
         cut = space.size * 2 // 5 + 1
         assert list(space.iter_range(0, cut)) + list(space.iter_range(cut, space.size)) == listed
+
+
+class TestSearch:
+    """The pruned search against the scalar checkers on the whole space: for
+    every class the catalog searches, the same tables in the same order, and
+    every table of the space decided."""
+
+    # name: (search arguments, scalar checker, largest n)
+    _CLASSES = {
+        "conservative-associative": ({"identities": (_ASSOCIATIVITY,)}, is_associative, 4),
+        "conservative-symmetric-associative": (
+            {"mirror": True, "identities": (_ASSOCIATIVITY,)}, is_associative, 5),
+        "conservative-symmetric-nondecreasing": (
+            {"mirror": True, "nondecreasing": True}, is_nondecreasing, 6),
+    }
+
+    @pytest.mark.parametrize("name,n", [(name, n) for name, spec in _CLASSES.items()
+                                        for n in range(1, spec[2] + 1)])
+    def test_search_matches_the_filtered_space(self, name, n):
+        from uninorms.oracle import _conservative, _search, _space, _wrap
+        args, check, _ = self._CLASSES[name]
+        space = _space(n, _conservative, args.get("mirror", False))
+        decided, found = _search(n, _conservative, **args)
+        assert found == [t for t in space if check(_wrap(n, t))]
+        assert decided == space.size
