@@ -91,11 +91,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the fixed-seed samples, which only bis-a, bis-b "
-                        "and open-questions draw, at n >= 4; non-negative (default 0)")
+                        "and open-questions draw, at n = 5; non-negative (default 0)")
     p.add_argument("--jobs", type=int, default=_default_jobs(),
                    help="worker processes for the whole-space scans and samples; the "
-                        "searches (main, main2n, main3, open-questions part a) run in "
-                        "this process; the report is identical for any value")
+                        "pruned searches run in this process; the report is identical "
+                        "for any value")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("count", help="closed-form uninorm counts")

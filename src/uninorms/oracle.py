@@ -2,22 +2,17 @@
 characterization at desk scale.
 
 Enumeration classes live behind hard feasibility bounds; exceeding a bound is
-an error rather than a silent sample. Sampling is used only where a bound
-forces it: ``bis-a`` and ``bis-b`` at chain sizes 4 and 5, and part (c) of
-the open-questions probe above size 3. A sample is drawn with one fixed seed
-split into fixed-size chunks, so results do not depend on how many workers
-run the chunks. ``mainb``, ``corollary-mainb`` and ``prel34`` scan every
-nondecreasing table with a neutral element, built by backtracking, so they
-are exhaustive.
-
-``main``, ``main2n`` (for n <= 6), ``main3`` and part (a) of the probe decide
-their classes by a pruned search over partial tables instead of a scan: it
-keeps only the tables that meet the class's identities and decides every
-other table of the space by pruning the subtree it lies in (at n = 5 it
-visits 12,391 nodes to decide all 2^20 conservative tables and keep the
-1,182 associative ones; at n = 6, 530 nodes for the 32 tables of ``main``).
-A search runs in the calling process whatever the worker count; ``--jobs``
-splits only the whole-space scans and the samples.
+an error rather than a silent sample. A class narrower than a whole space is
+found by one pruned search over partial tables, ``_search``, which keeps the
+tables that meet the class's identities and decides every other table of the
+space by pruning the subtree it lies in (at n = 5 it visits 12,391 nodes to
+decide all 2^20 conservative tables and keep the 1,182 associative ones). A
+search runs in the calling process whatever the worker count; ``--jobs``
+splits only the whole-space scans and the samples. Sampling is left only at
+n = 5, where no search of their classes fits a desk budget: ``bis-a``,
+``bis-b`` and part (c) of the open-questions probe draw a sample with one
+fixed seed in fixed-size chunks, so results do not depend on how many
+workers run the chunks.
 
 ``verify_theorem`` is the single entry point: it looks up a named claim in
 the catalog, scans or searches the relevant candidate class, and reports the
@@ -30,7 +25,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, islice, permutations, product
+from itertools import chain, islice, permutations, product
 from math import comb, prod
 from operator import add
 from typing import Iterator, Optional
@@ -188,8 +183,18 @@ def _space(n: int, values, mirror: bool = False) -> TableSpace:
                        for i in range(n)], mirror)
 
 
+def _full(n: int):
+    return lambda i, j: range(1, n + 1)
+
+
+def _neutral(n: int, e: int):
+    """The cell domains of the tables with neutral element e: row and column
+    e are the identity, F(e, y) = y and F(x, e) = x."""
+    return lambda i, j: (j + 1,) if i == e - 1 else (i + 1,) if j == e - 1 else range(1, n + 1)
+
+
 def full_space(n: int) -> TableSpace:
-    return _space(n, lambda i, j: range(1, n + 1))
+    return _space(n, _full(n))
 
 
 def idempotent_space(n: int) -> TableSpace:
@@ -206,10 +211,6 @@ def conservative_space(n: int) -> TableSpace:
 
 def conservative_symmetric_space(n: int) -> TableSpace:
     return _space(n, _conservative, mirror=True)
-
-
-def symmetric_space(n: int) -> TableSpace:
-    return _space(n, lambda i, j: range(1, n + 1), mirror=True)
 
 
 def _wrap(n: int, table: tuple[tuple[int, ...], ...]) -> BinaryOperation:
@@ -233,6 +234,7 @@ def _wrap(n: int, table: tuple[tuple[int, ...], ...]) -> BinaryOperation:
 # an identity is a pair of terms over the variables 0, 1, ...; a term is a
 # variable or a pair of terms (l, r), read as F(l, r)
 _ASSOCIATIVITY = (((0, 1), 2), (0, (1, 2)))
+_BISYMMETRY = (((0, 1), (2, 3)), ((0, 2), (1, 3)))
 
 
 def _arity(term) -> int:
@@ -363,37 +365,12 @@ def enumerate_conservative(n: int, symmetric_only: bool = False) -> Iterator[Bin
 
 
 def enumerate_nondecreasing(n: int) -> Iterator[BinaryOperation]:
-    """All tables nondecreasing in both coordinates, by backtracking over rows
-    (24696 tables at n = 4); n <= 4."""
+    """All tables nondecreasing in both coordinates (24696 tables at n = 4),
+    lexicographic by table entries; n <= 4."""
     _feasible(n, 4, "nondecreasing operations", "box plane partition numbers")
     chain = FiniteChain(n)
-    for t in _nondecreasing_tables(n):
+    for t in _search(n, _full(n), nondecreasing=True)[1]:
         yield BinaryOperation(chain, t)
-
-
-def _nondecreasing_tables(
-        n: int, e: Optional[int] = None) -> Iterator[tuple[tuple[int, ...], ...]]:
-    # a table is n file lines F(1,y) .. F(n,y), each nondecreasing and each
-    # at least the line below it; lines come in lexicographic order. With a
-    # neutral element e, line e is the identity and every line y holds y at
-    # position e.
-    lines = list(combinations_with_replacement(range(1, n + 1), n))
-    if e is None:
-        allowed = [lines] * n
-    else:
-        identity = tuple(range(1, n + 1))
-        allowed = [[identity] if y == e else [line for line in lines if line[e - 1] == y]
-                   for y in identity]
-
-    def rec(chosen: list) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if len(chosen) == n:
-            yield tuple(zip(*chosen))
-            return
-        for line in allowed[len(chosen)]:
-            if not chosen or all(a >= b for a, b in zip(line, chosen[-1])):
-                yield from rec(chosen + [line])
-
-    yield from rec([])
 
 
 def _feasible(n: int, cap: int, what: str, growth: str) -> None:
@@ -410,10 +387,9 @@ def _feasible(n: int, cap: int, what: str, growth: str) -> None:
 # the scan driver
 #
 # A check takes a raw table and n and returns (stats flags to count, failure
-# reason or None). A source of tables is "nondecreasing-neutral" (the
-# backtracking sweep over e = 1..n, sequential), a TableSpace name (fixed
-# index chunks), or a "sampled-*" hypothesis (SAMPLE_SIZE fixed-seed draws in
-# fixed chunks).
+# reason or None). A source of tables is a TableSpace name (fixed index
+# chunks) or a "sampled-*" hypothesis (SAMPLE_SIZE fixed-seed draws in fixed
+# chunks).
 # Fixed chunks merged in order keep every report independent of the number
 # of workers.
 
@@ -475,8 +451,6 @@ _SPACES = {
     "full": full_space,
     "idempotent": idempotent_space,
     "conservative": conservative_space,
-    "conservative-symmetric": conservative_symmetric_space,
-    "symmetric": symmetric_space,
 }
 
 
@@ -524,9 +498,6 @@ def _scan_chunk(args) -> dict:
 def _sweep(check, source: str, n: int, seed: int = 0, jobs: int = 1) -> dict:
     """Tally ``check`` over the tables of ``source``; counterexamples are
     capped per chunk, not in total."""
-    if source == "nondecreasing-neutral":
-        tables = (t for e in range(1, n + 1) for t in _nondecreasing_tables(n, e))
-        return _tally(tables, check, n)
     if source in _SPACES:
         spans = _chunk_bounds(_SPACES[source](n).size)
     else:
@@ -539,7 +510,7 @@ def _sweep(check, source: str, n: int, seed: int = 0, jobs: int = 1) -> dict:
 # per-table checks
 
 def _check_mainb(t, n: int):
-    # the sweep yields nondecreasing tables with a neutral element only
+    # the search yields nondecreasing tables with a neutral element only
     op = _wrap(n, t)
     lhs = is_bisymmetric(op)
     rhs = is_associative(op) and is_symmetric(op)
@@ -554,7 +525,7 @@ def _check_mainb(t, n: int):
 
 
 def _check_corollary_mainb(t, n: int):
-    # the sweep yields nondecreasing tables with a neutral element only
+    # the search yields nondecreasing tables with a neutral element only
     op = _wrap(n, t)
     idem = is_idempotent(op)
     cons = is_conservative(op)
@@ -695,7 +666,7 @@ def _check_prel34(t, n: int):
     op = _wrap(n, t)
     if not is_idempotent(op):
         return (), None
-    e = find_neutral_element(op)  # the sweep guarantees one
+    e = find_neutral_element(op)  # the search guarantees one
     for x in range(1, e + 1):
         for y in range(1, e + 1):
             if op(x, y) != min(x, y):
@@ -742,11 +713,17 @@ def _report(name: str, n: int, candidates: int, counterexamples: list,
     return out
 
 
-def _scan(check, source: str, above3: Optional[str] = None):
-    """Runner that tallies ``check`` over ``source``, or over ``above3`` at
-    chain sizes past 3 when one is given."""
+def _scan(check, source, above4: Optional[str] = None):
+    """Runner that tallies ``check`` over the tables of ``source``: a space
+    name, whose every table is a candidate, or a hypothesis ``source(n) ->
+    (candidates, tables)``. Past chain size 4 it tallies over the sample
+    ``above4`` instead, when one is given."""
     def run(name: str, n: int, seed: int, jobs: int) -> dict:
-        src = above3 if above3 is not None and n > 3 else source
+        src = above4 if above4 is not None and n > 4 else source
+        if callable(src):
+            candidates, tables = src(n)
+            part = _tally(tables, check, n)
+            return _report(name, n, candidates, part["counterexamples"], stats=part["stats"])
         merged = _sweep(check, src, n, seed, jobs)
         extras = {"seed": seed} if src.startswith("sampled-") else {}
         return _report(name, n, merged["checked"],
@@ -756,9 +733,23 @@ def _scan(check, source: str, above3: Optional[str] = None):
 
 
 def _axiom_tables(n: int) -> tuple[int, list]:
-    """(decided, tables) of the search for the conservative, symmetric and
-    nondecreasing tables."""
+    """The conservative, symmetric and nondecreasing tables."""
     return _search(n, _conservative, mirror=True, nondecreasing=True)
+
+
+def _per_neutral(n: int, **constraints) -> tuple[int, list]:
+    """The tables with neutral element e that meet ``constraints``, for
+    e = 1..n in turn; no table has two neutral elements, so none is found
+    twice."""
+    parts = [_search(n, _neutral(n, e), **constraints) for e in range(1, n + 1)]
+    return sum(decided for decided, _ in parts), [t for _, found in parts for t in found]
+
+
+def _nondecreasing_neutral(n: int) -> tuple[int, list]:
+    """The nondecreasing tables with a neutral element. The claims that read
+    them hold on this class, so each of its tables is a candidate."""
+    tables = _per_neutral(n, nondecreasing=True)[1]
+    return len(tables), tables
 
 
 def _compare_generated(n: int, found: list, generated: frozenset) -> list[dict]:
@@ -799,12 +790,6 @@ def _verify_main2n(name: str, n: int, seed: int, jobs: int) -> dict:
             cex.append({"reason": f"the search found {len(found)}, expected {expected}"})
         cex += _compare_generated(n, found, frozenset(tables))
     return _report(name, n, len(tables), cex[:_MAX_COUNTEREXAMPLES], **extras)
-
-
-def _verify_main3(name: str, n: int, seed: int, jobs: int) -> dict:
-    decided, found = _axiom_tables(n)
-    part = _tally(found, _check_main3, n)
-    return _report(name, n, decided, part["counterexamples"], stats=part["stats"])
 
 
 def _verify_gc(name: str, n: int, seed: int, jobs: int) -> dict:
@@ -906,19 +891,23 @@ def _verify_open_questions(name: str, n: int, seed: int, jobs: int) -> dict:
 _CATALOG = {
     "main": (6, "the three axioms characterize the generated uninorms", _verify_main),
     "main2n": (12, "there are exactly 2^(n-1) idempotent discrete uninorms", _verify_main2n),
-    "main3": (5, "the three axioms imply associativity and a neutral element", _verify_main3),
+    "main3": (5, "the three axioms imply associativity and a neutral element",
+              _scan(_check_main3, _axiom_tables)),
     "gc": (12, "uninorms with neutral element e number C(n-1, e-1)", _verify_gc),
     "qob": (12, "single-peaked maxima, contour algorithm, and patchwork agree", _verify_qob),
-    "mainb": (4, "bisymmetry + monotonicity + neutral element = discrete uninorm",
-              _scan(_check_mainb, "nondecreasing-neutral")),
-    "corollary-mainb": (4, "adding idempotency or conservativeness yields the idempotent ones",
-                        _scan(_check_corollary_mainb, "nondecreasing-neutral")),
+    "mainb": (5, "bisymmetry + monotonicity + neutral element = discrete uninorm",
+              _scan(_check_mainb, _nondecreasing_neutral)),
+    "corollary-mainb": (5, "adding idempotency or conservativeness yields the idempotent ones",
+                        _scan(_check_corollary_mainb, _nondecreasing_neutral)),
     "bis-a": (5, "bisymmetric with neutral element implies associative and symmetric",
-              _scan(_check_bis_a, "full", above3="sampled-neutral")),
+              _scan(_check_bis_a, lambda n: _per_neutral(n, identities=(_BISYMMETRY,)),
+                    above4="sampled-neutral")),
     "bis-b": (5, "associative and symmetric implies bisymmetric",
-              _scan(_check_bis_b, "full", above3="sampled-symmetric")),
-    "bis-c": (4, "bisymmetric and conservative implies associative",
-              _scan(_check_bis_c, "full", above3="conservative")),
+              _scan(_check_bis_b,
+                    lambda n: _search(n, _full(n), mirror=True, identities=(_ASSOCIATIVITY,)),
+                    above4="sampled-symmetric")),
+    "bis-c": (5, "bisymmetric and conservative implies associative",
+              _scan(_check_bis_c, lambda n: _search(n, _conservative, identities=(_BISYMMETRY,)))),
     "idis": (3, "isolated points of idempotent operations lie on the diagonal",
              _scan(_check_idis, "idempotent")),
     "ee": (4, "for conservative operations, neutral = unique isolated diagonal point",
@@ -930,8 +919,8 @@ _CATALOG = {
     "testca": (4, "rectangle test decides associativity of conservative operations",
                _scan(_check_testca, "conservative")),
     "rec8n": (10, "there are n(n-1)(n-2) test rectangles, C(n,3) up to symmetry", _verify_rec8n),
-    "prel34": (4, "idempotent nondecreasing with neutral e: min below e, max above",
-               _scan(_check_prel34, "nondecreasing-neutral")),
+    "prel34": (5, "idempotent nondecreasing with neutral e: min below e, max above",
+               _scan(_check_prel34, _nondecreasing_neutral)),
     "consj": (3, "conservativeness = closure under every subset", _scan(_check_consj, "full")),
     "open-questions": (5, "empirical probes, no assertion made", _verify_open_questions),
 }
@@ -948,10 +937,12 @@ def theorem_bound(name: str) -> int:
 
 
 def verify_theorem(name: str, n: int, seed: int = 0, jobs: int = 1) -> dict:
-    """Exhaustively (or by fixed-seed sampling, where documented) check one
-    named claim at chain size n and report candidates checked plus any
-    counterexamples. The report is deterministic for fixed (name, n, seed),
-    regardless of the number of workers."""
+    """Check one named claim at chain size n and report candidates checked
+    plus any counterexamples. Every class is decided exhaustively, by a scan
+    or a pruned search, except those of ``bis-a`` and ``bis-b`` at n = 5,
+    which are fixed-seed samples: ``seed`` reaches only those (and the
+    probe's part (c) at n = 5). The report is deterministic for fixed
+    (name, n, seed), regardless of the number of workers."""
     key = name.lower()
     cap = theorem_bound(key)
     if n < 1:
@@ -960,14 +951,18 @@ def verify_theorem(name: str, n: int, seed: int = 0, jobs: int = 1) -> dict:
         raise ValueError(f"claim {key!r} is only checkable up to n = {cap}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _validate_seed(seed)
     _, summary, runner = _CATALOG[key]
     start = time.perf_counter()
     report = runner(key, n, seed, jobs)
     report["summary"] = summary
     report["runtime_seconds"] = time.perf_counter() - start
     return report
+
+
+def _validate_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def probe_open_questions(n: int, seed: int = 0, jobs: int = 1) -> dict:
@@ -979,15 +974,18 @@ def probe_open_questions(n: int, seed: int = 0, jobs: int = 1) -> dict:
       (exact): a pruned search of each space keeps the associative tables
       and decides every other table by pruning, and the space counts are
       the tables it decided, not a formula;
-    * a search for symmetric bisymmetric tables lacking associativity or a
-      neutral element (exhaustive up to n = 3, fixed-seed sampling above).
+    * symmetric bisymmetric tables lacking associativity or a neutral
+      element, the first ``_MAX_COUNTEREXAMPLES`` of them listed: a pruned
+      search decides every symmetric table up to n = 4, a fixed-seed sample
+      of symmetric tables stands in at n = 5.
     """
     _feasible(n, 5, "conservative operations", "2^(n^2-n)")
+    _validate_seed(seed)
     cons, cons_assoc = _search(n, _conservative, identities=(_ASSOCIATIVITY,))
     sym, sym_assoc = _search(n, _conservative, mirror=True, identities=(_ASSOCIATIVITY,))
-    mode_c = "exhaustive" if n <= 3 else "sampled"
-    part_c = _sweep(_check_probe_c, "symmetric" if n <= 3 else "sampled-symmetrized",
-                    n, seed, jobs)
+    part_c = _scan(_check_probe_c,
+                   lambda n: _search(n, _full(n), mirror=True, identities=(_BISYMMETRY,)),
+                   above4="sampled-symmetrized")("open-questions", n, seed, jobs)
     return {
         "n": n,
         "a": {
@@ -1000,9 +998,9 @@ def probe_open_questions(n: int, seed: int = 0, jobs: int = 1) -> dict:
              "conservative operations; the symmetric case reduces to the "
              "rectangle test",
         "c": {
-            "mode": mode_c,
-            "seed": seed if mode_c == "sampled" else None,
-            "symmetric_tables_examined": part_c["checked"],
+            "mode": "sampled" if "seed" in part_c else "exhaustive",
+            "seed": part_c.get("seed"),
+            "symmetric_tables_examined": part_c["candidates"],
             "stats": part_c["stats"],
             "findings": [{"table": c["table"], "finding": c["reason"]}
                          for c in part_c["counterexamples"]],

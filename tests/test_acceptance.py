@@ -130,11 +130,11 @@ def test_criterion_07_bisymmetry_characterization():
 
 
 def test_criterion_08_bisymmetry_lemma():
-    ok = all(verify_theorem(name, 3)["ok"]
-             for name in ("bis-a", "bis-b", "bis-c"))
-    ok = ok and verify_theorem("bis-c", 4)["ok"]
-    report(8, "bisymmetry implications hold: all tables n=3, "
-              "conservative tables n=4", ok)
+    ok = all(verify_theorem(name, n)["ok"]
+             for name in ("bis-a", "bis-b", "bis-c") for n in (3, 4))
+    ok = ok and verify_theorem("bis-c", 5)["ok"]
+    report(8, "bisymmetry implications hold: all tables n<=4, "
+              "conservative tables n=5", ok)
 
 
 def test_criterion_09_preliminary_propositions():
@@ -189,7 +189,7 @@ def test_criterion_12_determinism(capsys, tmp_path, monkeypatch):
     # verification output is byte-identical for any worker count
     for argv, jobs_pairs in (
         (["verify", "--theorem", "mainb", "--n", "3"], ("1", "3")),
-        (["verify", "--theorem", "bis-a", "--n", "4"], ("1", "2")),
+        (["verify", "--theorem", "bis-a", "--n", "5"], ("1", "2")),
     ):
         _, a = cli_stdout(capsys, *argv, "--jobs", jobs_pairs[0])
         _, b = cli_stdout(capsys, *argv, "--jobs", jobs_pairs[1])

@@ -211,7 +211,7 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("name,n", [("bis-a", 4), ("main", 3)])
+    @pytest.mark.parametrize("name,n", [("bis-a", 5), ("main", 3)])
     def test_negative_seed(self, capsys, name, n):
         # a sampling claim and one that draws nothing
         code, out, err = run(capsys, "verify", "--theorem", name, "--n", str(n),

@@ -10,6 +10,7 @@ from uninorms import (
     find_neutral_element,
     fixture,
     is_associative,
+    is_bisymmetric,
     is_nondecreasing,
     probe_open_questions,
     profile,
@@ -17,7 +18,8 @@ from uninorms import (
     theorem_names,
     verify_theorem,
 )
-from uninorms.oracle import _ASSOCIATIVITY
+from uninorms import oracle
+from uninorms.oracle import _ASSOCIATIVITY, _BISYMMETRY
 
 from test_core import max_op, tables
 
@@ -64,16 +66,22 @@ class TestEnumerators:
         with pytest.raises(ValueError):
             next(enumerate_nondecreasing(5))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_nondecreasing_is_the_filtered_full_space(self, n):
+        # the same tables in the same order as filtering every table
+        assert [op.table for op in enumerate_nondecreasing(n)] == [
+            op.table for op in enumerate_all_operations(n) if is_nondecreasing(op)]
+
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 13), (4, 346)])
     def test_nondecreasing_with_neutral_source(self, n, count):
         # the source of mainb, corollary-mainb and prel34 against filtering
         # every nondecreasing table
-        from uninorms.oracle import _nondecreasing_tables
-        built = [t for e in range(1, n + 1) for t in _nondecreasing_tables(n, e)]
-        filtered = {op.table for op in enumerate_nondecreasing(n)
-                    if find_neutral_element(op) is not None}
-        assert len(built) == count
-        assert set(built) == filtered
+        from uninorms.oracle import _nondecreasing_neutral
+        candidates, built = _nondecreasing_neutral(n)
+        filtered = [op.table for op in enumerate_nondecreasing(n)
+                    if find_neutral_element(op) is not None]
+        assert candidates == len(built) == count
+        assert sorted(built) == filtered
 
 
 class TestProfile:
@@ -149,6 +157,12 @@ class TestVerifyTheorem:
         assert report["stats"] == {
             "candidate": 346, "bisymmetric_side": 22, "uninorm_side": 22,
         }
+        report = verify_theorem("mainb", 5)
+        assert report["ok"]
+        assert report["candidates"] == 40088
+        assert report["stats"] == {
+            "candidate": 40088, "bisymmetric_side": 92, "uninorm_side": 92,
+        }
 
     def test_corollary_statistics(self):
         report = verify_theorem("corollary-mainb", 3)
@@ -193,16 +207,43 @@ class TestVerifyTheorem:
         assert report["symmetric_expected"] == 4
 
     def test_sampled_claims(self):
-        for name, n in [("bis-a", 4), ("bis-b", 4), ("bis-c", 4),
-                        ("bis-a", 5), ("bis-b", 5)]:
-            report = verify_theorem(name, n, seed=0)
+        for name in ("bis-a", "bis-b"):
+            report = verify_theorem(name, 5, seed=0)
             assert report["ok"], report
+            assert report["candidates"] == 100000 and report["seed"] == 0
+
+    @pytest.mark.parametrize("name,n,candidates,antecedent", [
+        # the searched class: every table with a neutral element e, for each
+        # e; the symmetric tables; the conservative tables
+        ("bis-a", 3, 3 * 3 ** 4, 27), ("bis-a", 4, 4 * 4 ** 9, 376),
+        ("bis-b", 3, 3 ** 6, 63), ("bis-b", 4, 4 ** 10, 1140),
+        ("bis-c", 3, 2 ** 6, 14), ("bis-c", 4, 2 ** 12, 58), ("bis-c", 5, 2 ** 20, 292),
+    ])
+    def test_searched_bisymmetry_claims(self, name, n, candidates, antecedent):
+        # bis-c counts the bisymmetric quasitrivial operations (Devillet 2019)
+        report = verify_theorem(name, n)
+        assert report["ok"], report
+        assert report["candidates"] == candidates
+        assert report["stats"] == {"antecedent": antecedent}
+        assert "seed" not in report
 
     def test_corollary_sweep_at_its_bound(self):
         report = verify_theorem("corollary-mainb", 4, seed=0)
         assert report["ok"]
         assert report["candidates"] == 346
         assert report["stats"] == {"candidate": 346, "idempotent_uninorms": 8}
+        report = verify_theorem("corollary-mainb", 5)
+        assert report["ok"]
+        assert report["candidates"] == 40088
+        assert report["stats"] == {"candidate": 40088, "idempotent_uninorms": 16}
+
+    def test_prel34_at_its_bound(self):
+        # idempotent among the nondecreasing tables with a neutral element
+        assert verify_theorem("prel34", 4)["stats"] == {"candidate": 164}
+        report = verify_theorem("prel34", 5)
+        assert report["ok"]
+        assert report["candidates"] == 40088
+        assert report["stats"] == {"candidate": 7195}
 
     def test_main3_at_its_bound(self):
         report = verify_theorem("main3", 5)
@@ -215,7 +256,7 @@ class TestVerifyTheorem:
 
     def test_jobs_do_not_change_the_report(self):
         claims = [(name, min(3, theorem_bound(name))) for name in theorem_names()]
-        for name, n in claims + [("bis-a", 4), ("bis-b", 4)]:
+        for name, n in claims + [("bis-a", 5), ("bis-b", 5)]:
             a = verify_theorem(name, n, jobs=1)
             b = verify_theorem(name, n, jobs=2)
             a.pop("runtime_seconds")
@@ -234,8 +275,8 @@ class TestVerifyTheorem:
         assert oracle._worker_count(8, 64) == 1
 
     def test_seed_is_reproducible(self):
-        a = verify_theorem("bis-a", 4, seed=7)
-        b = verify_theorem("bis-a", 4, seed=7)
+        a = verify_theorem("bis-a", 5, seed=7)
+        b = verify_theorem("bis-a", 5, seed=7)
         a.pop("runtime_seconds")
         b.pop("runtime_seconds")
         assert a == b
@@ -275,6 +316,10 @@ class TestProbe:
         with pytest.raises(ValueError):
             probe_open_questions(6)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -5$"):
+            probe_open_questions(4, seed=-5)
+
 
 class TestProbeFastPaths:
     """The raw-table rectangle loop behind the rectangle checkers, against the
@@ -297,8 +342,13 @@ class TestProbeFastPaths:
         assert report["a"]["conservative_associative"] == 138
         assert report["a"]["conservative_symmetric"] == 64
         assert report["a"]["conservative_symmetric_associative"] == 24
-        assert report["c"]["mode"] == "sampled"
-        assert report["c"]["symmetric_tables_examined"] == 100000
+        # part (c) searches every symmetric table
+        c = report["c"]
+        assert c["mode"] == "exhaustive" and c["seed"] is None
+        assert c["symmetric_tables_examined"] == 4 ** 10
+        assert c["stats"] == {"bisymmetric_symmetric": 4456, "lacking_associativity": 3316,
+                              "lacking_neutral": 4080}
+        assert len(c["findings"]) == 20
 
 
 class TestScanEngineCrossValidation:
@@ -313,17 +363,24 @@ class TestScanEngineCrossValidation:
         "symmetric": lambda t, i, j: t[i][j] == t[j][i],
     }
 
+    @staticmethod
+    def _spaces():
+        # the scanned spaces, and the two mirrored ones
+        from uninorms import oracle
+        return {**oracle._SPACES,
+                "conservative-symmetric": oracle.conservative_symmetric_space,
+                "symmetric": lambda n: oracle._space(n, oracle._full(n), mirror=True)}
+
     @pytest.mark.parametrize("name,n", [(name, n) for name in _PREDICATES for n in (1, 2, 3)])
     def test_full_space_matches_product(self, name, n):
         from itertools import product
-        from uninorms.oracle import _SPACES
         cells = [(i, j) for i in range(n) for j in range(n)]
         direct = [
             t for t in (tuple(tuple(values[i * n:(i + 1) * n]) for i in range(n))
                         for values in product(range(1, n + 1), repeat=n * n))
             if all(self._PREDICATES[name](t, i, j) for i, j in cells)
         ]
-        assert list(_SPACES[name](n)) == direct
+        assert list(self._spaces()[name](n)) == direct
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_mirrored_space_past_its_corner(self, n):
@@ -342,15 +399,10 @@ class TestScanEngineCrossValidation:
         assert list(conservative_symmetric_space(n)) == direct
 
     def test_spaces_decode_matches_iteration(self):
-        from uninorms.oracle import (
-            conservative_space,
-            conservative_symmetric_space,
-            full_space,
-            idempotent_space,
-            symmetric_space,
-        )
-        for space in (full_space(2), conservative_space(3), conservative_symmetric_space(3),
-                      idempotent_space(2), symmetric_space(2)):
+        spaces = self._spaces()
+        for name, n in (("full", 2), ("conservative", 3), ("conservative-symmetric", 3),
+                        ("idempotent", 2), ("symmetric", 2)):
+            space = spaces[name](n)
             listed = list(space)
             assert len(listed) == space.size
             assert len(set(listed)) == space.size
@@ -370,8 +422,8 @@ class TestScanEngineCrossValidation:
     @pytest.mark.parametrize("name,n", [("full", 3), ("idempotent", 3), ("conservative", 4),
                                         ("conservative-symmetric", 5), ("symmetric", 3)])
     def test_chunked_iteration_matches(self, name, n):
-        from uninorms.oracle import _SPACES, _chunk_bounds
-        space = _SPACES[name](n)
+        from uninorms.oracle import _chunk_bounds
+        space = self._spaces()[name](n)
         listed = list(space)
         chunks = [t for first, stop in _chunk_bounds(space.size)
                   for t in space.iter_range(first, stop)]
@@ -385,21 +437,62 @@ class TestSearch:
     every class the catalog searches, the same tables in the same order, and
     every table of the space decided."""
 
-    # name: (search arguments, scalar checker, largest n)
+    # name: (cell domains at n, search arguments, scalar checker, largest n);
+    # a class with a neutral element is searched once for each e
     _CLASSES = {
-        "conservative-associative": ({"identities": (_ASSOCIATIVITY,)}, is_associative, 4),
+        "conservative-associative": (
+            lambda n: [oracle._conservative], {"identities": (_ASSOCIATIVITY,)},
+            is_associative, 4),
         "conservative-symmetric-associative": (
-            {"mirror": True, "identities": (_ASSOCIATIVITY,)}, is_associative, 5),
+            lambda n: [oracle._conservative], {"mirror": True, "identities": (_ASSOCIATIVITY,)},
+            is_associative, 5),
         "conservative-symmetric-nondecreasing": (
-            {"mirror": True, "nondecreasing": True}, is_nondecreasing, 6),
+            lambda n: [oracle._conservative], {"mirror": True, "nondecreasing": True},
+            is_nondecreasing, 6),
+        "conservative-bisymmetric": (
+            lambda n: [oracle._conservative], {"identities": (_BISYMMETRY,)}, is_bisymmetric, 4),
+        "neutral-bisymmetric": (
+            lambda n: [oracle._neutral(n, e) for e in range(1, n + 1)],
+            {"identities": (_BISYMMETRY,)}, is_bisymmetric, 3),
+        "neutral-nondecreasing": (
+            lambda n: [oracle._neutral(n, e) for e in range(1, n + 1)],
+            {"nondecreasing": True}, is_nondecreasing, 3),
+        "symmetric-associative": (
+            lambda n: [oracle._full(n)], {"mirror": True, "identities": (_ASSOCIATIVITY,)},
+            is_associative, 3),
+        "symmetric-bisymmetric": (
+            lambda n: [oracle._full(n)], {"mirror": True, "identities": (_BISYMMETRY,)},
+            is_bisymmetric, 3),
+        "nondecreasing": (lambda n: [oracle._full(n)], {"nondecreasing": True}, is_nondecreasing, 3),
     }
 
     @pytest.mark.parametrize("name,n", [(name, n) for name, spec in _CLASSES.items()
-                                        for n in range(1, spec[2] + 1)])
+                                        for n in range(1, spec[3] + 1)])
     def test_search_matches_the_filtered_space(self, name, n):
-        from uninorms.oracle import _conservative, _search, _space, _wrap
-        args, check, _ = self._CLASSES[name]
-        space = _space(n, _conservative, args.get("mirror", False))
-        decided, found = _search(n, _conservative, **args)
-        assert found == [t for t in space if check(_wrap(n, t))]
-        assert decided == space.size
+        domains, args, check, _ = self._CLASSES[name]
+        assert self._mismatches(n, domains(n), args, check) == 0
+
+    @staticmethod
+    def _mismatches(n, domains, args, check) -> int:
+        # the cell domains whose search differs from the filtered space
+        bad = 0
+        for values in domains:
+            space = oracle._space(n, values, args.get("mirror", False))
+            decided, found = oracle._search(n, values, **args)
+            bad += found != [t for t in space if check(oracle._wrap(n, t))] or decided != space.size
+        return bad
+
+    def test_dropping_a_bisymmetry_instance_fails_the_comparison(self, monkeypatch):
+        # the search reads the instances of an identity off product(range(n),
+        # repeat=arity); withhold the equation F(F(1,1),F(2,3)) =
+        # F(F(1,2),F(1,3)). Its instances (x, y, z, w) and (x, z, y, w) read
+        # it from either side, so both go.
+        real = oracle.product
+        dropped = {(0, 0, 1, 2), (0, 1, 0, 2)}
+
+        def product(*iterables, repeat=1):
+            return (env for env in real(*iterables, repeat=repeat) if env not in dropped)
+
+        monkeypatch.setattr(oracle, "product", product)
+        domains, args, check, _ = self._CLASSES["conservative-bisymmetric"]
+        assert self._mismatches(3, domains(3), args, check) == 1
