@@ -8,7 +8,8 @@ engines, ``count`` prints closed-form counts.
 Everything on standard output is machine-parseable (the declared text formats
 or JSON); progress, counts, and timings go to standard error. Exit codes:
 0 on success, 1 when a requested property or verification fails, 2 on usage
-or parse errors.
+or parse errors. A reader that closes the pipe early ends the output: the
+command stops, prints nothing more and exits 0.
 """
 from __future__ import annotations
 
@@ -51,7 +52,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has all the output it wants; point stdout at devnull so
+        # that the flush at interpreter exit writes nowhere and fails quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

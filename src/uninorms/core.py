@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,6 @@ class BinaryOperation:
 
     def __call__(self, x: int, y: int) -> int:
         return self.table[x - 1][y - 1]
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """All points of the square L_n x L_n in lexicographic order."""
-        n = self.chain.n
-        return ((x, y) for x in range(1, n + 1) for y in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -163,11 +158,14 @@ def make_operation(chain: FiniteChain | int, table: Sequence[Sequence[int]]) -> 
 
 def contour_partition(op: BinaryOperation) -> ContourPartition:
     """Group the points of the square into the level sets of the operation."""
-    by_value: dict[int, list[tuple[int, int]]] = {}
-    for x, y in op.pairs():
-        by_value.setdefault(op(x, y), []).append((x, y))
-    values = tuple(sorted(by_value))
-    classes = tuple(tuple(sorted(by_value[v])) for v in values)
+    n = op.n
+    by_value: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    # cells arrive in lexicographic order, so each class is already sorted
+    for x, row in enumerate(op.table, 1):
+        for y, v in enumerate(row, 1):
+            by_value[v].append((x, y))
+    values = tuple(v for v in range(1, n + 1) if by_value[v])
+    classes = tuple(tuple(by_value[v]) for v in values)
     return ContourPartition(op.chain, classes, values)
 
 
@@ -203,10 +201,9 @@ def restrict(op: BinaryOperation, subset: Iterable[int]) -> Restriction:
 
 def format_table(op: BinaryOperation) -> str:
     """Text format: first line n, then line y holds F(1,y) .. F(n,y)."""
-    n = op.n
-    lines = [str(n)]
-    for y in range(1, n + 1):
-        lines.append(" ".join(str(op(x, y)) for x in range(1, n + 1)))
+    lines = [str(op.n)]
+    for line in zip(*op.table):  # line y: F(1,y) .. F(n,y)
+        lines.append(" ".join(map(str, line)))
     return "\n".join(lines) + "\n"
 
 
@@ -239,9 +236,7 @@ def parse_table(text: str) -> BinaryOperation:
 
 def table_to_json_dict(op: BinaryOperation) -> dict:
     """JSON form ``{"n": n, "table": rows}`` with the text format's line order."""
-    n = op.n
-    rows = [[op(x, y) for x in range(1, n + 1)] for y in range(1, n + 1)]
-    return {"n": n, "table": rows}
+    return {"n": op.n, "table": [list(line) for line in zip(*op.table)]}
 
 
 def table_from_json_dict(data: dict) -> BinaryOperation:

@@ -241,6 +241,11 @@ def _arity(term) -> int:
     return term + 1 if isinstance(term, int) else max(map(_arity, term))
 
 
+def _ground(term, env):
+    # the term with each variable replaced by its value in env
+    return env[term] if isinstance(term, int) else (_ground(term[0], env), _ground(term[1], env))
+
+
 def _compile(term, arity: int, steps: list) -> int:
     # appends (a, b, out) reads, slot out = F(slot a, slot b), after those of
     # the subterms; slots 0..arity-1 hold the variables. Returns term's slot.
@@ -283,12 +288,21 @@ def _search(n: int, values, mirror: bool = False, identities=(),
             slots[out] = tab[cell]
         return None if slots[lhs] == slots[rhs] else -1
 
+    # Each equation is watched once: an instance whose two sides are the same
+    # ground term cannot fail, and one whose sides, swapped, are those of an
+    # instance already watched (bisymmetry at (x, z, y, w) after (x, y, z, w))
+    # fails exactly when that one does.
     watch = [[] for _ in cells]  # position -> the instances parked on it
+    watched = set()  # the (left, right) ground terms of the instances watched
     for lhs, rhs in identities:
         arity = _arity((lhs, rhs))
         steps: list = []
         left, right = _compile(lhs, arity, steps), _compile(rhs, arity, steps)
         for env in product(range(n), repeat=arity):
+            sides = (_ground(lhs, env), _ground(rhs, env))
+            if sides[0] == sides[1] or sides[::-1] in watched:
+                continue
+            watched.add(sides)
             instance = (steps, left, right, [*env, *[0] * len(steps)])
             watch[order[read(instance)]].append(instance)
 
@@ -631,12 +645,17 @@ def _check_consj(t, n: int):
     return (("conservative",) if cons else ()), None
 
 
+# a subset S of the chain is a bit mask, element x its bit x - 1; row i of
+# the table holds F(i + 1, .)
+
 def _closed_under_all_subsets(op: BinaryOperation, n: int) -> bool:
+    t = op.table
     for mask in range(1, 1 << n):
-        members = [v for v in range(1, n + 1) if mask >> (v - 1) & 1]
-        for x in members:
-            for y in members:
-                if not (mask >> (op(x, y) - 1) & 1):
+        members = [i for i in range(n) if mask >> i & 1]
+        for i in members:
+            row = t[i]
+            for j in members:
+                if not mask >> (row[j] - 1) & 1:
                     return False
     return True
 
@@ -644,11 +663,12 @@ def _closed_under_all_subsets(op: BinaryOperation, n: int) -> bool:
 def _membership_traceable(op: BinaryOperation, n: int) -> bool:
     # if a value lands in S, one of its arguments must already be in S
     for mask in range(1, 1 << n):
-        for x in range(1, n + 1):
-            for y in range(1, n + 1):
-                if mask >> (op(x, y) - 1) & 1:
-                    if not (mask >> (x - 1) & 1 or mask >> (y - 1) & 1):
-                        return False
+        for i, row in enumerate(op.table):
+            if mask >> i & 1:
+                continue  # x in S traces every F(x, y)
+            for j, v in enumerate(row):
+                if mask >> (v - 1) & 1 and not mask >> j & 1:
+                    return False
     return True
 
 
@@ -667,13 +687,13 @@ def _check_prel34(t, n: int):
     if not is_idempotent(op):
         return (), None
     e = find_neutral_element(op)  # the search guarantees one
-    for x in range(1, e + 1):
-        for y in range(1, e + 1):
-            if op(x, y) != min(x, y):
+    for x, row in enumerate(t[:e], 1):
+        for y, v in enumerate(row[:e], 1):
+            if v != min(x, y):
                 return ("candidate",), f"below the neutral element F({x},{y}) != min"
-    for x in range(e, n + 1):
-        for y in range(e, n + 1):
-            if op(x, y) != max(x, y):
+    for x, row in enumerate(t[e - 1:], e):
+        for y, v in enumerate(row[e - 1:], e):
+            if v != max(x, y):
                 return ("candidate",), f"above the neutral element F({x},{y}) != max"
     return ("candidate",), None
 

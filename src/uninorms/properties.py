@@ -19,8 +19,8 @@ from .core import BinaryOperation, contour_partition
 
 
 def idempotency_witness(op: BinaryOperation) -> Optional[int]:
-    for x in range(1, op.n + 1):
-        if op(x, x) != x:
+    for x, row in enumerate(op.table, 1):
+        if row[x - 1] != x:
             return x
     return None
 
@@ -31,9 +31,10 @@ def is_idempotent(op: BinaryOperation) -> bool:
 
 def conservativeness_witness(op: BinaryOperation) -> Optional[tuple[int, int]]:
     """First (x, y) with F(x,y) outside {x, y}, if any."""
-    for x, y in op.pairs():
-        if op(x, y) != x and op(x, y) != y:
-            return (x, y)
+    for x, row in enumerate(op.table, 1):
+        for y, v in enumerate(row, 1):
+            if v != x and v != y:
+                return (x, y)
     return None
 
 
@@ -48,17 +49,15 @@ def contour_conservativeness_witness(op: BinaryOperation) -> Optional[tuple[int,
     x = idempotency_witness(op)
     if x is not None:
         return (x, x)
-    part = contour_partition(op)
-    index = {}
-    for i, cls in enumerate(part.classes):
-        for p in cls:
-            index[p] = i
-    for x, y in op.pairs():
-        if x == y:
-            continue
-        i = index[(x, y)]
-        if i != index[(x, x)] and i != index[(y, y)]:
-            return (x, y)
+    n = op.n
+    level = [[0] * n for _ in range(n)]  # level[x-1][y-1]: the class of (x, y)
+    for i, cls in enumerate(contour_partition(op).classes):
+        for x, y in cls:
+            level[x - 1][y - 1] = i
+    for x, row in enumerate(level, 1):
+        for y, i in enumerate(row, 1):
+            if x != y and i != row[x - 1] and i != level[y - 1][y - 1]:
+                return (x, y)
     return None
 
 
@@ -86,12 +85,14 @@ def monotonicity_witness(op: BinaryOperation) -> Optional[tuple[tuple[int, int],
 
     Checking unit steps in each coordinate is enough by transitivity.
     """
-    n = op.n
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            if x < n and op(x, y) > op(x + 1, y):
+    t = op.table
+    n = len(t)
+    for x, row in enumerate(t, 1):
+        next_row = t[x] if x < n else None  # F(x + 1, .)
+        for y, v in enumerate(row, 1):
+            if next_row is not None and v > next_row[y - 1]:
                 return ((x, y), (x + 1, y))
-            if y < n and op(x, y) > op(x, y + 1):
+            if y < n and v > row[y]:
                 return ((x, y), (x, y + 1))
     return None
 
@@ -235,9 +236,11 @@ def _table_rect_witness(t) -> Optional[tuple[int, int, int]]:
 
 def find_neutral_element(op: BinaryOperation) -> Optional[int]:
     """The unique e with F(x,e) = F(e,x) = x for all x, or None."""
-    n = op.n
-    for e in range(1, n + 1):
-        if all(op(x, e) == x and op(e, x) == x for x in range(1, n + 1)):
+    t = op.table
+    identity = tuple(range(1, len(t) + 1))
+    for e, row in enumerate(t, 1):
+        # row e is F(e, .); column e is read off every row
+        if row == identity and all(r[e - 1] == x for x, r in enumerate(t, 1)):
             return e
     return None
 

@@ -19,22 +19,23 @@ def render_contour_text(
     witness: Optional[Iterable[tuple[int, int]]] = None,
 ) -> str:
     """Character grid of the level sets, one cell per point of the square."""
-    n = op.n
     marked = set(witness) if witness is not None else set()
     isolated = set(contour_partition(op).isolated())
-    cells = {}
-    for x, y in op.pairs():
-        text = str(op(x, y))
-        if (x, y) in isolated:
-            text += "*"
-        if (x, y) in marked:
-            text = f"[{text}]"
-        cells[(x, y)] = text
-    width = max(len(t) for t in cells.values())
-    lines = []
-    for y in range(n, 0, -1):
-        lines.append(" ".join(cells[(x, y)].rjust(width) for x in range(1, n + 1)))
-    return "\n".join(lines) + "\n"
+    cells = []  # cells[x-1][y-1]: the text of (x, y)
+    for x, row in enumerate(op.table, 1):
+        texts = []
+        for y, v in enumerate(row, 1):
+            text = str(v)
+            if (x, y) in isolated:
+                text += "*"
+            if (x, y) in marked:
+                text = f"[{text}]"
+            texts.append(text)
+        cells.append(texts)
+    width = max(len(text) for texts in cells for text in texts)
+    # line y holds the texts of (1, y) .. (n, y); the top line is y = n
+    lines = [" ".join(text.rjust(width) for text in line) for line in zip(*cells)]
+    return "\n".join(reversed(lines)) + "\n"
 
 
 def render_contour_dot(op: BinaryOperation) -> str:

@@ -129,7 +129,7 @@ def uninorm_to_order(op: BinaryOperation) -> LinearOrder:
     n = op.n
     seq: list[int] = [0] * n
     for v in range(1, n + 1):
-        rank = sum(1 for u in range(1, n + 1) if op(u, v) == v)
+        rank = [row[v - 1] for row in op.table].count(v)  # the u with F(u, v) = v
         if seq[rank - 1]:
             raise RuntimeError(
                 "induced relation is not a linear order; checker inconsistency"

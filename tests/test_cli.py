@@ -48,6 +48,19 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "conservative", "--n", "2")
         assert code == 0 and "count: 4" in err
 
+    def test_closed_pipe_ends_the_output_quietly(self):
+        # like `uninorms enumerate conservative --n 5 | head -1`
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "uninorms.cli", "enumerate", "conservative", "--n", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"5\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+
     def test_gspecs_json(self, capsys):
         code, out, _ = run(capsys, "enumerate", "gspecs", "--n", "3", "--format", "json")
         assert code == 0
