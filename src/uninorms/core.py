@@ -102,13 +102,6 @@ class ContourPartition:
     classes: tuple[tuple[tuple[int, int], ...], ...]
     values: tuple[int, ...]
 
-    def class_of(self, point: tuple[int, int]) -> int:
-        """Index into ``classes`` of the class containing the point."""
-        for i, cls in enumerate(self.classes):
-            if point in cls:
-                return i
-        raise KeyError(point)
-
     def isolated(self) -> tuple[tuple[int, int], ...]:
         return tuple(cls[0] for cls in self.classes if len(cls) == 1)
 

@@ -2,17 +2,20 @@
 characterization at desk scale.
 
 Enumeration classes live behind hard feasibility bounds; exceeding a bound is
-an error rather than a silent sample. A class narrower than a whole space is
-found by one pruned search over partial tables, ``_search``, which keeps the
-tables that meet the class's identities and decides every other table of the
-space by pruning the subtree it lies in (at n = 5 it visits 12,391 nodes to
-decide all 2^20 conservative tables and keep the 1,182 associative ones). A
-search runs in the calling process whatever the worker count; ``--jobs``
-splits only the whole-space scans and the samples. Sampling is left only at
-n = 5, where no search of their classes fits a desk budget: ``bis-a``,
-``bis-b`` and part (c) of the open-questions probe draw a sample with one
-fixed seed in fixed-size chunks, so results do not depend on how many
-workers run the chunks.
+an error rather than a silent sample. A whole space is an indexed
+``TableSpace``. A class narrower than a whole space, the symmetric tables
+included, is found by one pruned search over partial tables, ``_search``,
+which keeps the tables that meet the class's identities and decides every
+other table of the space by pruning the subtree it lies in (at n = 5 it
+visits 12,391 nodes to decide all 2^20 conservative tables and keep the 1,182
+associative ones). The search yields each table it keeps as soon as the
+table is complete: an enumerator streams it, and a claim drains it for the
+tables and the number decided. A search runs in the calling process
+whatever the worker count; ``--jobs`` splits only the whole-space scans and
+the samples. Sampling is left only at n = 5, where no search of their
+classes fits a desk budget: ``bis-a``, ``bis-b`` and part (c) of the
+open-questions probe draw a sample with one fixed seed in fixed-size chunks,
+so results do not depend on how many workers run the chunks.
 
 ``verify_theorem`` is the single entry point: it looks up a named claim in
 the catalog, scans or searches the relevant candidate class, and reports the
@@ -25,10 +28,9 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, islice, permutations, product
+from itertools import chain, permutations, product
 from math import comb, prod
-from operator import add
-from typing import Iterator, Optional
+from typing import Generator, Iterator, Optional
 
 import numpy as np
 
@@ -117,29 +119,13 @@ def profile(op: BinaryOperation) -> PropertyProfile:
 # index doubles as the work-partitioning key for parallel scans. iter_range,
 # the one way to a table, cuts an index range into blocks of fixed leading
 # picks times every pick of the other rows, each read off itertools.product.
-# In a mirrored (symmetric) space row i picks only the cells (i, i..n-1): the
-# last rows, at most _CORNER_CAP picks together, are completed once into
-# corner tables, the leading rows are a plain space, and each table joins the
-# cells its leading picks set in every row to the rest of that row.
-
-_CORNER_CAP = 256
-
 
 class TableSpace:
-    def __init__(self, rows: list, mirror: bool = False):
+    def __init__(self, rows: list):
         self.rows = rows
-        self.mirror = mirror
         # _sizes[k]: the number of tables the rows k.. span together
         self._sizes = [prod(map(len, rows[k:])) for k in range(len(rows) + 1)]
         self.size = self._sizes[0]
-        if mirror:
-            h = next(k for k, size in enumerate(self._sizes) if size <= _CORNER_CAP)
-            corners = [()]
-            for row in reversed(rows[h:]):
-                corners = [(u,) + tuple(map(add, [(x,) for x in u[1:]], c))
-                           for u in row for c in corners]
-            self._head = TableSpace(rows[:h])
-            self._corners = corners
 
     def decode(self, index: int) -> tuple[tuple[int, ...], ...]:
         return next(self.iter_range(index, index + 1))
@@ -148,8 +134,6 @@ class TableSpace:
         """Tables start..stop-1 in index order."""
         if not 0 <= start <= stop <= self.size:
             raise IndexError(f"index range {start}..{stop} outside 0..{self.size}")
-        if self.mirror:
-            return self._mirrored(start, stop)
         return chain.from_iterable(product(*pools) for pools in self._blocks(start, stop))
 
     def _blocks(self, start: int, stop: int, k: int = 0, fixed: tuple = ()):
@@ -163,24 +147,14 @@ class TableSpace:
                 yield from self._blocks(max(start - p * block, 0), min(stop - p * block, block),
                                         k + 1, (*fixed, (self.rows[k][p],)))
 
-    def _mirrored(self, start: int, stop: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        n, h, span = len(self.rows), len(self._head.rows), len(self._corners)
-        first = start // span
-        for q, head in enumerate(self._head.iter_range(first, (stop - 1) // span + 1), first):
-            # row i: its cells in the columns of the leading rows before it
-            lefts = [tuple(head[m][i - m] for m in range(min(i, h))) for i in range(n)]
-            for corner in islice(self._corners, max(start - q * span, 0), stop - q * span):
-                yield tuple(map(add, lefts, head + corner))
-
     def __iter__(self):
         return self.iter_range(0, self.size)
 
 
-def _space(n: int, values, mirror: bool = False) -> TableSpace:
+def _space(n: int, values) -> TableSpace:
     """The tables whose cell (i, j) takes each of ``values(i, j)`` (0-based,
-    ascending); a mirrored space reads them for j >= i only."""
-    return TableSpace([list(product(*(values(i, j) for j in range(i if mirror else 0, n))))
-                       for i in range(n)], mirror)
+    ascending)."""
+    return TableSpace([list(product(*(values(i, j) for j in range(n)))) for i in range(n)])
 
 
 def _full(n: int):
@@ -209,10 +183,6 @@ def conservative_space(n: int) -> TableSpace:
     return _space(n, _conservative)
 
 
-def conservative_symmetric_space(n: int) -> TableSpace:
-    return _space(n, _conservative, mirror=True)
-
-
 def _wrap(n: int, table: tuple[tuple[int, ...], ...]) -> BinaryOperation:
     return BinaryOperation(FiniteChain(n), table)
 
@@ -221,15 +191,15 @@ def _wrap(n: int, table: tuple[tuple[int, ...], ...]) -> BinaryOperation:
 # pruned search
 #
 # A search fills the cells of a space one at a time, in the space's order:
-# row by row, each row's cells left to right (in a mirrored space only the
+# row by row, each row's cells left to right (in a mirrored search only the
 # cells j >= i, each also setting (j, i)), each cell's values ascending. So
 # it yields the tables of the space that it keeps in the order TableSpace
-# iterates them. After each assignment it checks only what the new cell can
-# decide: its four neighbours for monotonicity, and the identity instances
-# parked on it. An instance is parked on the first unknown cell it reads;
-# once that cell is set the instance is read again, and it holds, fails
-# (which prunes every table below the node) or parks on its next unknown
-# cell, which comes later in the order.
+# iterates them, each as soon as its last cell is set. After each assignment
+# it checks only what the new cell can decide: its four neighbours for
+# monotonicity, and the identity instances parked on it. An instance is
+# parked on the first unknown cell it reads; once that cell is set the
+# instance is read again, and it holds, fails (which prunes every table below
+# the node) or parks on its next unknown cell, which comes later in the order.
 
 # an identity is a pair of terms over the variables 0, 1, ...; a term is a
 # variable or a pair of terms (l, r), read as F(l, r)
@@ -258,14 +228,19 @@ def _compile(term, arity: int, steps: list) -> int:
 
 
 def _search(n: int, values, mirror: bool = False, identities=(),
-            nondecreasing: bool = False) -> tuple[int, list]:
-    """The tables of ``_space(n, values, mirror)`` that satisfy every one of
+            nondecreasing: bool = False) -> Generator[tuple, None, int]:
+    """The tables of ``_space(n, values)`` that satisfy every one of
     ``identities`` for all values of their variables, and are nondecreasing
-    in both arguments if asked, in the space's order.
+    in both arguments if asked, in the space's order. A mirrored search
+    searches the symmetric tables instead: it reads ``values(i, j)`` for the
+    cells j >= i only and copies each (i, j) into (j, i), so its space holds
+    one table per choice of the cells on and above the diagonal, row by row,
+    the last cell changing fastest.
 
-    Returns (decided, tables): decided is the number of tables found plus the
-    size of every pruned subtree, summed as the search goes, so it equals the
-    size of the space only if the search accounted for every table."""
+    Yields each table kept as soon as it is complete, and returns decided: the
+    number of tables found plus the size of every pruned subtree, summed as
+    the search goes, so it equals the size of the space only if the search
+    accounted for every table. ``_drain`` collects both."""
     cells = [(i, j) for i in range(n) for j in range(i if mirror else 0, n)]
     domains = [[v - 1 for v in values(i, j)] for i, j in cells]
     # below[k]: the tables under one assignment of the cells before k
@@ -324,15 +299,12 @@ def _search(n: int, values, mirror: bool = False, identities=(),
                 parked.append(q)
         return True
 
-    tables = []
-    decided = 0
-
-    def extend(k: int) -> None:
-        nonlocal decided
+    def extend(k: int) -> Generator[tuple, None, int]:
+        # the tables below the cells set before k; returns the tables decided
         if k == len(cells):
-            tables.append(tuple(tuple(v + 1 for v in tab[x * n:(x + 1) * n]) for x in range(n)))
-            decided += 1
-            return
+            yield tuple(tuple(v + 1 for v in tab[x * n:(x + 1) * n]) for x in range(n))
+            return 1
+        decided = 0
         i, j = cells[k]
         for v in domains[k]:
             tab[i * n + j] = v
@@ -340,7 +312,7 @@ def _search(n: int, values, mirror: bool = False, identities=(),
                 tab[j * n + i] = v
             parked: list = []
             if (not nondecreasing or monotone(i, j, v)) and settle(k, parked):
-                extend(k + 1)
+                decided += yield from extend(k + 1)
             else:
                 decided += below[k + 1]
             for q in parked:
@@ -348,9 +320,19 @@ def _search(n: int, values, mirror: bool = False, identities=(),
         tab[i * n + j] = -1
         if mirror:
             tab[j * n + i] = -1
+        return decided
 
-    extend(0)
-    return decided, tables
+    return extend(0)
+
+
+def _drain(search: Generator[tuple, None, int]) -> tuple[int, list]:
+    """(decided, tables) of a search run to its end."""
+    tables = []
+    try:
+        while True:
+            tables.append(next(search))
+    except StopIteration as end:
+        return end.value, tables
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +348,17 @@ def enumerate_all_operations(n: int) -> Iterator[BinaryOperation]:
 
 def enumerate_conservative(n: int, symmetric_only: bool = False) -> Iterator[BinaryOperation]:
     """All conservative tables (diagonal forced, each off-diagonal cell one of
-    its two coordinates): 2^(n^2-n) in general, 2^(n(n-1)/2) symmetric."""
+    its two coordinates), lexicographic by table entries: 2^(n^2-n) of them,
+    n <= 5. The 2^(n(n-1)/2) symmetric ones, n <= 8, are streamed by a
+    mirrored search that picks each cell (i, j >= i) and copies it to (j, i)."""
     if symmetric_only:
         _feasible(n, 8, "symmetric conservative operations", "2^(n(n-1)/2)")
-        space = conservative_symmetric_space(n)
+        tables = _search(n, _conservative, mirror=True)
     else:
         _feasible(n, 5, "conservative operations", "2^(n^2-n)")
-        space = conservative_space(n)
+        tables = conservative_space(n)
     chain = FiniteChain(n)
-    for t in space:
+    for t in tables:
         yield BinaryOperation(chain, t)
 
 
@@ -383,7 +367,7 @@ def enumerate_nondecreasing(n: int) -> Iterator[BinaryOperation]:
     lexicographic by table entries; n <= 4."""
     _feasible(n, 4, "nondecreasing operations", "box plane partition numbers")
     chain = FiniteChain(n)
-    for t in _search(n, _full(n), nondecreasing=True)[1]:
+    for t in _search(n, _full(n), nondecreasing=True):
         yield BinaryOperation(chain, t)
 
 
@@ -754,14 +738,14 @@ def _scan(check, source, above4: Optional[str] = None):
 
 def _axiom_tables(n: int) -> tuple[int, list]:
     """The conservative, symmetric and nondecreasing tables."""
-    return _search(n, _conservative, mirror=True, nondecreasing=True)
+    return _drain(_search(n, _conservative, mirror=True, nondecreasing=True))
 
 
 def _per_neutral(n: int, **constraints) -> tuple[int, list]:
     """The tables with neutral element e that meet ``constraints``, for
     e = 1..n in turn; no table has two neutral elements, so none is found
     twice."""
-    parts = [_search(n, _neutral(n, e), **constraints) for e in range(1, n + 1)]
+    parts = [_drain(_search(n, _neutral(n, e), **constraints)) for e in range(1, n + 1)]
     return sum(decided for decided, _ in parts), [t for _, found in parts for t in found]
 
 
@@ -924,10 +908,12 @@ _CATALOG = {
                     above4="sampled-neutral")),
     "bis-b": (5, "associative and symmetric implies bisymmetric",
               _scan(_check_bis_b,
-                    lambda n: _search(n, _full(n), mirror=True, identities=(_ASSOCIATIVITY,)),
+                    lambda n: _drain(_search(n, _full(n), mirror=True,
+                                             identities=(_ASSOCIATIVITY,))),
                     above4="sampled-symmetric")),
     "bis-c": (5, "bisymmetric and conservative implies associative",
-              _scan(_check_bis_c, lambda n: _search(n, _conservative, identities=(_BISYMMETRY,)))),
+              _scan(_check_bis_c,
+                    lambda n: _drain(_search(n, _conservative, identities=(_BISYMMETRY,))))),
     "idis": (3, "isolated points of idempotent operations lie on the diagonal",
              _scan(_check_idis, "idempotent")),
     "ee": (4, "for conservative operations, neutral = unique isolated diagonal point",
@@ -1001,10 +987,10 @@ def probe_open_questions(n: int, seed: int = 0, jobs: int = 1) -> dict:
     """
     _feasible(n, 5, "conservative operations", "2^(n^2-n)")
     _validate_seed(seed)
-    cons, cons_assoc = _search(n, _conservative, identities=(_ASSOCIATIVITY,))
-    sym, sym_assoc = _search(n, _conservative, mirror=True, identities=(_ASSOCIATIVITY,))
+    cons, cons_assoc = _drain(_search(n, _conservative, identities=(_ASSOCIATIVITY,)))
+    sym, sym_assoc = _drain(_search(n, _conservative, mirror=True, identities=(_ASSOCIATIVITY,)))
     part_c = _scan(_check_probe_c,
-                   lambda n: _search(n, _full(n), mirror=True, identities=(_BISYMMETRY,)),
+                   lambda n: _drain(_search(n, _full(n), mirror=True, identities=(_BISYMMETRY,))),
                    above4="sampled-symmetrized")("open-questions", n, seed, jobs)
     return {
         "n": n,

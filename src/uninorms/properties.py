@@ -259,10 +259,12 @@ def find_neutral_via_sections(op: BinaryOperation) -> Optional[NeutralSections]:
     It reads the level sets, not the table: e qualifies when, for every x,
     the level set of value x contains both (x, e) and (e, x)."""
     n = op.n
-    part = contour_partition(op)
-    level = {v: set(cls) for v, cls in zip(part.values, part.classes)}
+    classes = contour_partition(op).classes
+    if len(classes) < n:
+        return None  # some value x has no level set to hold (x, e)
+    # every value is taken, so classes[x - 1] is the level set of x
     for e in range(1, n + 1):
-        if all({(x, e), (e, x)} <= level.get(x, set()) for x in range(1, n + 1)):
+        if all((x, e) in level and (e, x) in level for x, level in enumerate(classes, 1)):
             vertical = tuple((e, y) for y in range(1, n + 1))
             horizontal = tuple((x, e) for x in range(1, n + 1))
             return NeutralSections(e, vertical, horizontal)

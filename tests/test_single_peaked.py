@@ -46,7 +46,25 @@ def _build_order(start, downs):
     return order(*seq)
 
 
+def definitional_witness(order):
+    """First triple a < b < c whose middle element is ranked after both, by
+    the triple loop over every triple."""
+    n = order.n
+    rank = {v: k for k, v in enumerate(order.seq)}
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            for c in range(b + 1, n + 1):
+                if rank[b] > rank[a] and rank[b] > rank[c]:
+                    return (a, b, c)
+    return None
+
+
 class TestRecognition:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_witness_matches_the_triple_loop(self, n):
+        for seq in permutations(range(1, n + 1)):
+            assert single_peakedness_witness(order(*seq)) == definitional_witness(order(*seq))
+
     def test_known_single_peaked(self):
         assert is_single_peaked(order(2, 3, 4, 1, 5))
 
