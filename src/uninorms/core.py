@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -37,7 +38,10 @@ class BinaryOperation:
     """A total binary operation on a finite chain, stored as a dense table.
 
     ``table[x-1][y-1]`` is the value F(x, y); every entry must be an int
-    (not a bool) in 1..n.
+    (not a bool) in 1..n. The public constructor checks this for every
+    table it is given. ``_unchecked_operation`` does not: it trusts its
+    caller, a table source that checked its cell domains once for all the
+    tables it makes.
     """
 
     chain: FiniteChain
@@ -58,6 +62,23 @@ class BinaryOperation:
 
     def __call__(self, x: int, y: int) -> int:
         return self.table[x - 1][y - 1]
+
+
+@cache
+def _shared_chain(n: int) -> FiniteChain:
+    return FiniteChain(n)
+
+
+def _unchecked_operation(n: int, table: tuple[tuple[int, ...], ...]) -> BinaryOperation:
+    """The operation ``BinaryOperation(FiniteChain(n), table)``, built without
+    checking the table and on one chain shared by every table of size n.
+
+    The caller must guarantee what the public constructor would check:
+    ``table`` is a tuple of n tuples of n ints (not bools), each in 1..n.
+    """
+    op = object.__new__(BinaryOperation)
+    op.__dict__.update(chain=_shared_chain(n), table=table)
+    return op
 
 
 @dataclass(frozen=True)

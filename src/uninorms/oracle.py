@@ -17,6 +17,13 @@ classes fits a desk budget: ``bis-a``, ``bis-b`` and part (c) of the
 open-questions probe draw a sample with one fixed seed in fixed-size chunks,
 so results do not depend on how many workers run the chunks.
 
+Each source of tables is validated once, not each table: a space and a
+search check their cell domains (every value an int, not a bool, in 1..n)
+before they make a table, and a sample checks each chunk's range before it
+converts the chunk. The checks then wrap each table with
+``core._unchecked_operation``, which skips ``BinaryOperation``'s per-table
+check and shares one chain per n.
+
 ``verify_theorem`` is the single entry point: it looks up a named claim in
 the catalog, scans or searches the relevant candidate class, and reports the
 number of candidates checked plus any counterexamples found (there must be
@@ -34,7 +41,13 @@ from typing import Generator, Iterator, Optional
 
 import numpy as np
 
-from .core import BinaryOperation, FiniteChain, LinearOrder, table_to_json_dict
+from .core import (
+    BinaryOperation,
+    FiniteChain,
+    LinearOrder,
+    _unchecked_operation,
+    table_to_json_dict,
+)
 from .generate import (  # the gspec names stay here: bench/run.py's traced run wraps them
     _gspec_sources,
     enumerate_gspecs,
@@ -151,10 +164,22 @@ class TableSpace:
         return self.iter_range(0, self.size)
 
 
+def _domains(n: int, values, cells) -> list[tuple[int, ...]]:
+    """``values(i, j)`` for each of ``cells``, checked once for every table
+    built from them: each value is an int, not a bool, in 1..n."""
+    domains = [tuple(values(i, j)) for i, j in cells]
+    for domain in domains:
+        for v in domain:
+            if type(v) is not int or not 1 <= v <= n:
+                raise ValueError(f"cell value {v!r} is not an integer in 1..{n}")
+    return domains
+
+
 def _space(n: int, values) -> TableSpace:
     """The tables whose cell (i, j) takes each of ``values(i, j)`` (0-based,
     ascending)."""
-    return TableSpace([list(product(*(values(i, j) for j in range(n)))) for i in range(n)])
+    domains = _domains(n, values, [(i, j) for i in range(n) for j in range(n)])
+    return TableSpace([list(product(*domains[i * n:(i + 1) * n])) for i in range(n)])
 
 
 def _full(n: int):
@@ -184,7 +209,9 @@ def conservative_space(n: int) -> TableSpace:
 
 
 def _wrap(n: int, table: tuple[tuple[int, ...], ...]) -> BinaryOperation:
-    return BinaryOperation(FiniteChain(n), table)
+    """The operation of a table from a space, a search or a sample chunk,
+    whose values were checked once for the whole source."""
+    return _unchecked_operation(n, table)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +269,7 @@ def _search(n: int, values, mirror: bool = False, identities=(),
     the search goes, so it equals the size of the space only if the search
     accounted for every table. ``_drain`` collects both."""
     cells = [(i, j) for i in range(n) for j in range(i if mirror else 0, n)]
-    domains = [[v - 1 for v in values(i, j)] for i, j in cells]
+    domains = [[v - 1 for v in domain] for domain in _domains(n, values, cells)]
     # below[k]: the tables under one assignment of the cells before k
     below = [prod(map(len, domains[k:])) for k in range(len(cells) + 1)]
     order = [0] * (n * n)  # cell x * n + y -> the position that sets it
@@ -299,30 +326,47 @@ def _search(n: int, values, mirror: bool = False, identities=(),
                 parked.append(q)
         return True
 
-    def extend(k: int) -> Generator[tuple, None, int]:
-        # the tables below the cells set before k; returns the tables decided
-        if k == len(cells):
-            yield tuple(tuple(v + 1 for v in tab[x * n:(x + 1) * n]) for x in range(n))
-            return 1
+    def extend() -> Generator[tuple, None, int]:
+        # Depth first with an explicit stack, so that every table is yielded
+        # from this one frame. k is the cell being set, tried[k] the number
+        # of its values tried, parked[k] the positions its current value
+        # parked instances on. Returns the tables decided.
+        last = len(cells) - 1
+        tried = [0] * len(cells)
+        parked: list[list] = [[] for _ in cells]
         decided = 0
-        i, j = cells[k]
-        for v in domains[k]:
+        k = 0
+        while k >= 0:
+            undo = parked[k]
+            if undo:
+                for q in undo:
+                    watch[q].pop()
+                undo.clear()
+            i, j = cells[k]
+            p = tried[k]
+            if p == len(domains[k]):
+                tried[k] = 0
+                tab[i * n + j] = -1
+                if mirror:
+                    tab[j * n + i] = -1
+                k -= 1
+                continue
+            tried[k] = p + 1
+            v = domains[k][p]
             tab[i * n + j] = v
             if mirror:
                 tab[j * n + i] = v
-            parked: list = []
-            if (not nondecreasing or monotone(i, j, v)) and settle(k, parked):
-                decided += yield from extend(k + 1)
+            if (not nondecreasing or monotone(i, j, v)) and settle(k, undo):
+                if k < last:
+                    k += 1
+                    continue
+                decided += 1
+                yield tuple(tuple(v + 1 for v in tab[x * n:(x + 1) * n]) for x in range(n))
             else:
                 decided += below[k + 1]
-            for q in parked:
-                watch[q].pop()
-        tab[i * n + j] = -1
-        if mirror:
-            tab[j * n + i] = -1
         return decided
 
-    return extend(0)
+    return extend()
 
 
 def _drain(search: Generator[tuple, None, int]) -> tuple[int, list]:
@@ -341,9 +385,8 @@ def _drain(search: Generator[tuple, None, int]) -> tuple[int, list]:
 def enumerate_all_operations(n: int) -> Iterator[BinaryOperation]:
     """All n^(n^2) total tables, lexicographic by table entries; n <= 3."""
     _feasible(n, 3, "all operations", "n^(n^2)")
-    chain = FiniteChain(n)
     for t in full_space(n):
-        yield BinaryOperation(chain, t)
+        yield _wrap(n, t)
 
 
 def enumerate_conservative(n: int, symmetric_only: bool = False) -> Iterator[BinaryOperation]:
@@ -357,18 +400,16 @@ def enumerate_conservative(n: int, symmetric_only: bool = False) -> Iterator[Bin
     else:
         _feasible(n, 5, "conservative operations", "2^(n^2-n)")
         tables = conservative_space(n)
-    chain = FiniteChain(n)
     for t in tables:
-        yield BinaryOperation(chain, t)
+        yield _wrap(n, t)
 
 
 def enumerate_nondecreasing(n: int) -> Iterator[BinaryOperation]:
     """All tables nondecreasing in both coordinates (24696 tables at n = 4),
     lexicographic by table entries; n <= 4."""
     _feasible(n, 4, "nondecreasing operations", "box plane partition numbers")
-    chain = FiniteChain(n)
     for t in _search(n, _full(n), nondecreasing=True):
-        yield BinaryOperation(chain, t)
+        yield _wrap(n, t)
 
 
 def _feasible(n: int, cap: int, what: str, growth: str) -> None:
@@ -472,6 +513,8 @@ def _draw(hypothesis: str, n: int, seed: int, chunk: int) -> tuple[list, dict]:
     """One chunk of uniform draws: those with a neutral element, the
     symmetric ones, or every draw mirrored into a symmetric table."""
     arr = _chunk_rng(seed, chunk).integers(1, n + 1, size=(_SAMPLE_PER_CHUNK, n, n))
+    if arr.min() < 1 or arr.max() > n:  # the one check of the chunk's tables
+        raise ValueError(f"drawn values outside 1..{n}")
     stats = {}
     if hypothesis == "sampled-symmetrized":
         upper = np.triu_indices(n, k=1)

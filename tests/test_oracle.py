@@ -1,9 +1,12 @@
 import json
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
 
 from uninorms import (
+    BinaryOperation,
+    FiniteChain,
     enumerate_all_operations,
     enumerate_conservative,
     enumerate_nondecreasing,
@@ -513,3 +516,59 @@ class TestSearch:
         monkeypatch.setattr(oracle, "product", product)
         domains, args, check, _ = self._CLASSES["conservative-bisymmetric"]
         assert self._mismatches(3, domains(3), args, check) == 1
+
+
+class TestSourceValidation:
+    """A space, a search or a sample chunk checks its cell values once, and
+    the oracle builds its operations without checking each table again. So
+    every table a source yields must pass the public constructor, and the
+    unchecked operation must equal the checked one."""
+
+    @staticmethod
+    def _valid(n, tables) -> int:
+        # the number of tables, each checked
+        count = 0
+        for count, t in enumerate(tables, 1):
+            checked = BinaryOperation(FiniteChain(n), t)
+            op = oracle._wrap(n, t)
+            assert op == checked and hash(op) == hash(checked)
+        return count
+
+    @pytest.mark.parametrize("name,n", [("full", 3), ("idempotent", 3), ("conservative", 4)])
+    def test_space_tables_pass_the_constructor(self, name, n):
+        assert self._valid(n, oracle._SPACES[name](n)) == oracle._SPACES[name](n).size
+
+    @pytest.mark.parametrize("name", list(TestSearch._CLASSES))
+    def test_search_tables_pass_the_constructor(self, name):
+        domains, args, _, n = TestSearch._CLASSES[name]
+        assert self._valid(n, chain.from_iterable(oracle._search(n, values, **args)
+                                                  for values in domains(n))) > 0
+
+    @pytest.mark.parametrize("hypothesis",
+                             ["sampled-neutral", "sampled-symmetric", "sampled-symmetrized"])
+    def test_sampled_tables_pass_the_constructor(self, hypothesis):
+        # a chunk at n = 5 keeps few or no tables with a neutral element, and
+        # no symmetric one; at n = 2 each hypothesis keeps some
+        self._valid(5, oracle._draw(hypothesis, 5, 0, 0)[0])
+        assert self._valid(2, oracle._draw(hypothesis, 2, 0, 0)[0]) > 0
+
+    def test_operations_share_one_chain(self):
+        ops = list(enumerate_conservative(3))
+        assert all(op.chain is ops[0].chain for op in ops)
+
+    @pytest.mark.parametrize("bad", [0, 4, True])
+    @pytest.mark.parametrize("source", [
+        lambda n, values: iter(oracle._space(n, values)),
+        lambda n, values: oracle._search(n, values),
+        lambda n, values: oracle._search(n, values, mirror=True),
+    ])
+    def test_a_bad_cell_value_fails_before_any_table(self, source, bad):
+        # the bad value sits last in the last cell's domain, so a source that
+        # checked each table instead would yield tables first
+        n = 3
+        values = lambda i, j: (1, bad) if (i, j) == (n - 1, n - 1) else (1,)
+        yielded = []
+        with pytest.raises(ValueError, match="not an integer in 1..3"):
+            for t in source(n, values):
+                yielded.append(t)
+        assert yielded == []
