@@ -10,6 +10,12 @@ or JSON); progress, counts, and timings go to standard error. Exit codes:
 0 on success, 1 when a requested property or verification fails, 2 on usage
 or parse errors. A reader that closes the pipe early ends the output: the
 command stops, prints nothing more and exits 0.
+
+``main(argv)`` may be called any number of times in one process, and each
+call is independent of the last. The argument parser is built on the first
+call and reused after that: the ``--jobs`` default of ``verify`` is the CPU
+count read at that first call. Help, usage errors and output go to the
+``sys.stdout`` and ``sys.stderr`` in place at each call.
 """
 from __future__ import annotations
 
@@ -17,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from itertools import chain, islice
 from typing import Optional
 
@@ -66,6 +73,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
 
+# argparse keeps nothing of one parse_args call for the next: each call makes
+# a new Namespace and looks up sys.stdout and sys.stderr when it prints
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uninorms",

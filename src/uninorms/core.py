@@ -41,7 +41,8 @@ class BinaryOperation:
     (not a bool) in 1..n. The public constructor checks this for every
     table it is given. ``_unchecked_operation`` does not: it trusts its
     caller, a table source that checked its cell domains once for all the
-    tables it makes.
+    tables it makes, or a construction whose every entry is one of its two
+    arguments.
     """
 
     chain: FiniteChain

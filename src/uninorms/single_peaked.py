@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .core import BinaryOperation, FiniteChain, LinearOrder, make_operation
+from .core import BinaryOperation, FiniteChain, LinearOrder, _unchecked_operation
 from .properties import (
     conservativeness_witness,
     monotonicity_witness,
@@ -110,11 +110,12 @@ def order_to_uninorm(order: LinearOrder) -> BinaryOperation:
         raise ValueError(f"ordering is not single-peaked, witness triple {w}")
     n = order.n
     pos = _positions(order)
-    table = [
-        [y if pos[x] <= pos[y] else x for y in range(1, n + 1)]
+    # every entry is x or y in 1..n, so the table needs no check
+    table = tuple(
+        tuple(y if pos[x] <= pos[y] else x for y in range(1, n + 1))
         for x in range(1, n + 1)
-    ]
-    return make_operation(n, table)
+    )
+    return _unchecked_operation(n, table)
 
 
 def uninorm_to_order(op: BinaryOperation) -> LinearOrder:

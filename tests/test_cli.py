@@ -1,10 +1,13 @@
+import argparse
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from uninorms import fixture, format_table, parse_table
+from uninorms import fixture, format_table, make_operation, parse_table, render_contour_text
 from uninorms.cli import main
 
 from test_core import max_op
@@ -286,6 +289,67 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "uninorms", "--n", "3", "--jobs", "2"])
         assert exc.value.code == 2
+
+
+class TestRepeatedCalls:
+    """main() may be called many times in one process; no call sees the last."""
+
+    def test_the_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert run(capsys, "count", "--n", "3")[0] == 0
+        built.clear()
+        assert run(capsys, "count", "--n", "3") == (0, '{"count": 4, "n": 3}\n', "")
+        assert built == []
+        argparse.ArgumentParser()  # the spy counts
+        assert len(built) == 1
+
+    def test_no_state_leaks_between_calls(self, capsys, monkeypatch):
+        text = format_table(make_operation(2, [[2, 2], [2, 2]]))  # F(1, 1) = 2
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run(capsys, "check", "-", "--properties", "idempotent")
+        assert code == 1 and json.loads(out)["idempotent"] is False
+        assert err == "failed: idempotent\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(capsys, "check", "-") == (0, out, "")
+
+        fig3 = fixture("fig3")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(format_table(fig3)))
+        code, out, _ = run(capsys, "render", "-", "--style", "dot")
+        assert code == 0 and out.startswith("graph contour {")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(format_table(fig3)))
+        assert run(capsys, "render", "-") == (0, render_contour_text(fig3), "")
+
+    def test_help_and_usage_errors_print_in_full_each_time(self, capsys):
+        outputs = []
+        for argv in (["--help"], ["--help"], ["render", "x", "--style", "png"],
+                     ["render", "x", "--style", "png"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            outputs.append((exc.value.code, *capsys.readouterr()))
+        help_out, usage_err = outputs[0], outputs[2]
+        assert help_out[0] == 0 and help_out[1].startswith("usage: uninorms")
+        assert help_out[2] == ""
+        assert usage_err[0] == 2 and usage_err[1] == ""
+        assert usage_err[2].startswith("usage: uninorms render")
+        assert "invalid choice: 'png'" in usage_err[2]
+        assert outputs == [help_out, help_out, usage_err, usage_err]
+
+    def test_each_call_prints_to_the_streams_in_place_at_that_call(self):
+        printed = []
+        for argv in (["--help"], ["--help"], ["count"], ["count"]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit):
+                main(argv)
+            printed.append((out.getvalue(), err.getvalue()))
+        assert printed[0] == printed[1] and printed[0][0].startswith("usage: uninorms")
+        assert printed[2] == printed[3] and "the following arguments are required: --n" in printed[2][1]
 
 
 def test_console_script_end_to_end(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uninorms import (
+    BinaryOperation,
     FiniteChain,
     LinearOrder,
     enumerate_single_peaked,
@@ -148,6 +149,20 @@ class TestOrderToUninorm:
         assert is_conservative(op)
         assert is_symmetric(op)
         assert is_nondecreasing(op)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tables_pass_the_public_constructor(self, n):
+        # order_to_uninorm skips the table check, so check each table here
+        # against the definition: F(x, y) is whichever of x, y ranks higher
+        for o in enumerate_single_peaked(n):
+            op = order_to_uninorm(o)
+            checked = BinaryOperation(FiniteChain(n), op.table)
+            expected = tuple(
+                tuple(y if o.precedes(x, y) else x for y in range(1, n + 1))
+                for x in range(1, n + 1)
+            )
+            assert checked.table == expected
+            assert op.chain == FiniteChain(n)
 
 
 class TestUninormToOrder:
