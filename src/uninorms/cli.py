@@ -25,6 +25,7 @@ import os
 import sys
 from functools import cache
 from itertools import chain, islice
+from math import log10
 from typing import Optional
 
 from .core import (
@@ -109,12 +110,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="one of: " + ", ".join(theorem_names()))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0,
-                   help="seed of the fixed-seed samples, which only bis-a, bis-b "
-                        "and open-questions draw, at n = 5; non-negative (default 0)")
+                   help="seed of the fixed-seed samples, which only bis-a and bis-b "
+                        "draw, at n = 5; non-negative (default 0)")
     p.add_argument("--jobs", type=int, default=_default_jobs(),
-                   help="worker processes for the whole-space scans and samples; the "
-                        "pruned searches run in this process; the report is identical "
-                        "for any value")
+                   help="worker processes for the whole-space scans; the pruned "
+                        "searches and the samples run in this process; the report "
+                        "is identical for any value")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("count", help="closed-form uninorm counts")
@@ -231,18 +232,33 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    # 0, or no such function (before Python 3.10.7): no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = ValueError(f"the count for n = {args.n} has more than {limit} digits, "
+                          f"more than this interpreter prints")
+    if limit and _surely_longer(args.n, args.e, limit):
+        raise too_long
     if args.e is None:
         data = {"n": args.n, "count": count_uninorms(args.n)}
     else:
         data = {"n": args.n, "e": args.e,
                 "count": count_uninorms_by_neutral(args.n, args.e)}
-    # 0, or no such function (before Python 3.10.7): no limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and data["count"] >= 10 ** limit:
-        raise ValueError(f"the count for n = {args.n} has more than {limit} digits, "
-                         f"more than this interpreter prints")
+        raise too_long
     print(json.dumps(data, sort_keys=True))
     return 0
+
+
+def _surely_longer(n: int, e: Optional[int], limit: int) -> bool:
+    """Whether the count 2^(n-1), or C(n-1, e-1) for a neutral element e, has
+    more than ``limit`` digits by a bound that needs no count: 10^limit <
+    2^(4 limit), and C(m, k) >= (m/k)^k >= 2^k for k = min(e-1, n-e) <= m/2.
+    A count this misses has at most about 3 limit digits, so computing it
+    exactly is cheap. False for an n or e the count functions reject."""
+    if e is None:
+        return n - 1 >= 4 * limit
+    k = min(e - 1, n - e)
+    return k >= 4 * limit or (k > 0 and k * (log10(n - 1) - log10(k)) > limit + 1)
 
 
 if __name__ == "__main__":

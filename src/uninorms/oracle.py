@@ -11,18 +11,20 @@ visits 12,391 nodes to decide all 2^20 conservative tables and keep the 1,182
 associative ones). The search yields each table it keeps as soon as the
 table is complete: an enumerator streams it, and a claim drains it for the
 tables and the number decided. A search runs in the calling process
-whatever the worker count; ``--jobs`` splits only the whole-space scans and
-the samples. Sampling is left only at n = 5, where no search of their
-classes fits a desk budget: ``bis-a``, ``bis-b`` and part (c) of the
-open-questions probe draw a sample with one fixed seed in fixed-size chunks,
-so results do not depend on how many workers run the chunks.
+whatever the worker count; ``--jobs`` splits only the whole-space scans,
+into fixed index chunks whose results merge in order, so results do not
+depend on how many workers run the chunks. Sampling is left only for
+``bis-a`` and ``bis-b`` at n = 5, where no search of their classes fits a
+desk budget: each draws a sample with one fixed seed in fixed-size chunks,
+in the calling process. Part (c) of the open-questions probe is searched up
+to n = 4 and not run at n = 5.
 
 Each source of tables is validated once, not each table: a space and a
 search check their cell domains (every value an int, not a bool, in 1..n)
 before they make a table, and a sample checks each chunk's range before it
-converts the chunk. The checks then wrap each table with
+converts the chunk. The scan driver then wraps each table once with
 ``core._unchecked_operation``, which skips ``BinaryOperation``'s per-table
-check and shares one chain per n.
+check and shares one chain per n, and hands the operation to the check.
 
 ``verify_theorem`` is the single entry point: it looks up a named claim in
 the catalog, scans or searches the relevant candidate class, and reports the
@@ -425,23 +427,21 @@ def _feasible(n: int, cap: int, what: str, growth: str) -> None:
 # ---------------------------------------------------------------------------
 # the scan driver
 #
-# A check takes a raw table and n and returns (stats flags to count, failure
-# reason or None). A source of tables is a TableSpace name (fixed index
-# chunks) or a "sampled-*" hypothesis (SAMPLE_SIZE fixed-seed draws in fixed
-# chunks).
-# Fixed chunks merged in order keep every report independent of the number
-# of workers.
+# A check takes an operation and returns (stats flags to count, failure
+# reason or None). A whole space is scanned in fixed index chunks, merged in
+# order, which keeps every report independent of the number of workers.
 
 def _tally(tables, check, n: int) -> dict:
     stats: dict[str, int] = {}
     cex: list[dict] = []
     checked = 0
     for checked, t in enumerate(tables, 1):
-        delta, bad = check(t, n)
+        op = _wrap(n, t)
+        delta, bad = check(op)
         for k in delta:
             stats[k] = stats.get(k, 0) + 1
         if bad is not None and len(cex) < _MAX_COUNTEREXAMPLES:
-            cex.append({"table": _json_rows(t), "reason": bad})
+            cex.append({"table": _json_rows(op.table), "reason": bad})
     return {"checked": checked, "stats": stats, "counterexamples": cex}
 
 
@@ -509,50 +509,43 @@ def _symmetric_mask(arr: np.ndarray) -> np.ndarray:
     return (arr == arr.transpose(0, 2, 1)).all(axis=(1, 2))
 
 
-def _draw(hypothesis: str, n: int, seed: int, chunk: int) -> tuple[list, dict]:
-    """One chunk of uniform draws: those with a neutral element, the
-    symmetric ones, or every draw mirrored into a symmetric table."""
+def _draw(hypothesis: str, n: int, seed: int, chunk: int) -> list:
+    """The tables of one chunk of uniform draws that have a neutral element
+    (``sampled-neutral``) or are symmetric (``sampled-symmetric``)."""
     arr = _chunk_rng(seed, chunk).integers(1, n + 1, size=(_SAMPLE_PER_CHUNK, n, n))
     if arr.min() < 1 or arr.max() > n:  # the one check of the chunk's tables
         raise ValueError(f"drawn values outside 1..{n}")
-    stats = {}
-    if hypothesis == "sampled-symmetrized":
-        upper = np.triu_indices(n, k=1)
-        arr[:, upper[1], upper[0]] = arr[:, upper[0], upper[1]]
-    else:
-        keep = _neutral_mask(arr, n) if hypothesis == "sampled-neutral" else _symmetric_mask(arr)
-        arr = arr[keep]
-        stats["prefiltered"] = len(arr)
-    return [tuple(map(tuple, t)) for t in arr.tolist()], stats
+    keep = _neutral_mask(arr, n) if hypothesis == "sampled-neutral" else _symmetric_mask(arr)
+    return [tuple(map(tuple, t)) for t in arr[keep].tolist()]
 
 
-def _scan_chunk(args) -> dict:
-    check, n, source, first, second = args
-    if source in _SPACES:  # first..second is an index range
-        return _tally(_SPACES[source](n).iter_range(first, second), check, n)
-    tables, stats = _draw(source, n, first, second)  # the seed and the chunk
+def _sample(check, hypothesis: str, n: int, seed: int) -> dict:
+    """Tally ``check`` over the draws of ``hypothesis`` that meet it, out of
+    SAMPLE_SIZE fixed-seed draws in _SAMPLE_CHUNKS chunks, drawn in turn."""
+    tables = [t for chunk in range(_SAMPLE_CHUNKS) for t in _draw(hypothesis, n, seed, chunk)]
     part = _tally(tables, check, n)
-    return {"checked": _SAMPLE_PER_CHUNK, "stats": {**stats, **part["stats"]},
+    return {"checked": SAMPLE_SIZE, "stats": {"prefiltered": len(tables), **part["stats"]},
             "counterexamples": part["counterexamples"]}
 
 
-def _sweep(check, source: str, n: int, seed: int = 0, jobs: int = 1) -> dict:
-    """Tally ``check`` over the tables of ``source``; counterexamples are
+def _scan_chunk(args) -> dict:
+    check, n, space, start, stop = args
+    return _tally(_SPACES[space](n).iter_range(start, stop), check, n)
+
+
+def _sweep(check, space: str, n: int, jobs: int = 1) -> dict:
+    """Tally ``check`` over the tables of ``space``; counterexamples are
     capped per chunk, not in total."""
-    if source in _SPACES:
-        spans = _chunk_bounds(_SPACES[source](n).size)
-    else:
-        spans = [(seed, chunk) for chunk in range(_SAMPLE_CHUNKS)]
-    tasks = [(check, n, source, first, second) for first, second in spans]
+    tasks = [(check, n, space, start, stop)
+             for start, stop in _chunk_bounds(_SPACES[space](n).size)]
     return _merge_scans(_run_chunks(_scan_chunk, tasks, jobs))
 
 
 # ---------------------------------------------------------------------------
 # per-table checks
 
-def _check_mainb(t, n: int):
+def _check_mainb(op: BinaryOperation):
     # the search yields nondecreasing tables with a neutral element only
-    op = _wrap(n, t)
     lhs = is_bisymmetric(op)
     rhs = is_associative(op) and is_symmetric(op)
     delta = ["candidate"]
@@ -565,9 +558,8 @@ def _check_mainb(t, n: int):
     return delta, None
 
 
-def _check_corollary_mainb(t, n: int):
+def _check_corollary_mainb(op: BinaryOperation):
     # the search yields nondecreasing tables with a neutral element only
-    op = _wrap(n, t)
     idem = is_idempotent(op)
     cons = is_conservative(op)
     bis = is_bisymmetric(op)
@@ -582,8 +574,7 @@ def _check_corollary_mainb(t, n: int):
     return delta, None
 
 
-def _check_bis_a(t, n: int):
-    op = _wrap(n, t)
+def _check_bis_a(op: BinaryOperation):
     if find_neutral_element(op) is None or not is_bisymmetric(op):
         return (), None
     if not (is_associative(op) and is_symmetric(op)):
@@ -591,8 +582,7 @@ def _check_bis_a(t, n: int):
     return ("antecedent",), None
 
 
-def _check_bis_b(t, n: int):
-    op = _wrap(n, t)
+def _check_bis_b(op: BinaryOperation):
     if not (is_associative(op) and is_symmetric(op)):
         return (), None
     if not is_bisymmetric(op):
@@ -600,8 +590,7 @@ def _check_bis_b(t, n: int):
     return ("antecedent",), None
 
 
-def _check_bis_c(t, n: int):
-    op = _wrap(n, t)
+def _check_bis_c(op: BinaryOperation):
     if not is_conservative(op) or not is_bisymmetric(op):
         return (), None
     if not is_associative(op):
@@ -609,15 +598,14 @@ def _check_bis_c(t, n: int):
     return ("antecedent",), None
 
 
-def _check_idis(t, n: int):
-    bad = [p for p in isolated_points(_wrap(n, t)) if p[0] != p[1]]
+def _check_idis(op: BinaryOperation):
+    bad = [p for p in isolated_points(op) if p[0] != p[1]]
     if bad:
         return (), f"idempotent operation with off-diagonal isolated point {bad[0]}"
     return (), None
 
 
-def _check_ee(t, n: int):
-    op = _wrap(n, t)
+def _check_ee(op: BinaryOperation):
     iso = isolated_points(op)
     if len(iso) > 1:
         return (), f"conservative operation with {len(iso)} isolated points"
@@ -631,8 +619,7 @@ def _check_ee(t, n: int):
     return delta, None
 
 
-def _check_tcons(t, n: int):
-    op = _wrap(n, t)
+def _check_tcons(op: BinaryOperation):
     naive = is_conservative(op)
     structural = is_conservative_via_contour(op)
     if naive != structural:
@@ -640,8 +627,7 @@ def _check_tcons(t, n: int):
     return (("conservative",) if naive else ()), None
 
 
-def _check_te3(t, n: int):
-    op = _wrap(n, t)
+def _check_te3(op: BinaryOperation):
     sections = find_neutral_via_sections(op)
     naive = find_neutral_element(op)
     found = sections.e if sections is not None else None
@@ -650,8 +636,7 @@ def _check_te3(t, n: int):
     return (("has_neutral",) if naive is not None else ()), None
 
 
-def _check_testca(t, n: int):
-    op = _wrap(n, t)
+def _check_testca(op: BinaryOperation):
     naive = is_associative(op)
     rect = is_associative_conservative_rect(op)
     if naive != rect:
@@ -659,11 +644,10 @@ def _check_testca(t, n: int):
     return (("associative",) if naive else ()), None
 
 
-def _check_consj(t, n: int):
-    op = _wrap(n, t)
+def _check_consj(op: BinaryOperation):
     cons = is_conservative(op)
-    closed = _closed_under_all_subsets(op, n)
-    traceable = _membership_traceable(op, n)
+    closed = _closed_under_all_subsets(op, op.n)
+    traceable = _membership_traceable(op, op.n)
     if not (cons == closed == traceable):
         return (), (
             f"conservative={cons}, closed-under-subsets={closed}, "
@@ -699,9 +683,8 @@ def _membership_traceable(op: BinaryOperation, n: int) -> bool:
     return True
 
 
-def _check_main3(t, n: int):
+def _check_main3(op: BinaryOperation):
     # the search yields conservative symmetric nondecreasing tables only
-    op = _wrap(n, t)
     if not is_associative(op):
         return ("candidate",), "conservative symmetric nondecreasing but not associative"
     if find_neutral_element(op) is None:
@@ -709,24 +692,22 @@ def _check_main3(t, n: int):
     return ("candidate",), None
 
 
-def _check_prel34(t, n: int):
-    op = _wrap(n, t)
+def _check_prel34(op: BinaryOperation):
     if not is_idempotent(op):
         return (), None
     e = find_neutral_element(op)  # the search guarantees one
-    for x, row in enumerate(t[:e], 1):
+    for x, row in enumerate(op.table[:e], 1):
         for y, v in enumerate(row[:e], 1):
             if v != min(x, y):
                 return ("candidate",), f"below the neutral element F({x},{y}) != min"
-    for x, row in enumerate(t[e - 1:], e):
+    for x, row in enumerate(op.table[e - 1:], e):
         for y, v in enumerate(row[e - 1:], e):
             if v != max(x, y):
                 return ("candidate",), f"above the neutral element F({x},{y}) != max"
     return ("candidate",), None
 
 
-def _check_probe_c(t, n: int):
-    op = _wrap(n, t)
+def _check_probe_c(op: BinaryOperation):
     if not is_bisymmetric(op):
         return (), None
     assoc = is_associative(op)
@@ -763,19 +744,20 @@ def _report(name: str, n: int, candidates: int, counterexamples: list,
 def _scan(check, source, above4: Optional[str] = None):
     """Runner that tallies ``check`` over the tables of ``source``: a space
     name, whose every table is a candidate, or a hypothesis ``source(n) ->
-    (candidates, tables)``. Past chain size 4 it tallies over the sample
-    ``above4`` instead, when one is given."""
+    (candidates, tables)``. Past chain size 4 it tallies over the fixed-seed
+    sample ``above4`` instead, when one is given."""
     def run(name: str, n: int, seed: int, jobs: int) -> dict:
-        src = above4 if above4 is not None and n > 4 else source
-        if callable(src):
-            candidates, tables = src(n)
+        if above4 is not None and n > 4:
+            part = _sample(check, above4, n, seed)
+            return _report(name, n, part["checked"], part["counterexamples"],
+                           stats=part["stats"], seed=seed)
+        if callable(source):
+            candidates, tables = source(n)
             part = _tally(tables, check, n)
             return _report(name, n, candidates, part["counterexamples"], stats=part["stats"])
-        merged = _sweep(check, src, n, seed, jobs)
-        extras = {"seed": seed} if src.startswith("sampled-") else {}
+        merged = _sweep(check, source, n, jobs)
         return _report(name, n, merged["checked"],
-                       merged["counterexamples"][:_MAX_COUNTEREXAMPLES],
-                       stats=merged["stats"], **extras)
+                       merged["counterexamples"][:_MAX_COUNTEREXAMPLES], stats=merged["stats"])
     return run
 
 
@@ -829,14 +811,8 @@ def _verify_main2n(name: str, n: int, seed: int, jobs: int) -> dict:
     if len(tables) != expected or distinct != expected:
         cex.append({"reason": f"generator yielded {len(tables)} tables "
                               f"({distinct} distinct), expected {expected}"})
-    extras = {"generated": len(tables), "distinct": distinct, "expected": expected}
-    if n <= 6:
-        found = _axiom_tables(n)[1]
-        extras["brute_force_count"] = len(found)
-        if len(found) != expected:
-            cex.append({"reason": f"the search found {len(found)}, expected {expected}"})
-        cex += _compare_generated(n, found, frozenset(tables))
-    return _report(name, n, len(tables), cex[:_MAX_COUNTEREXAMPLES], **extras)
+    return _report(name, n, len(tables), cex,
+                   generated=len(tables), distinct=distinct, expected=expected)
 
 
 def _verify_gc(name: str, n: int, seed: int, jobs: int) -> dict:
@@ -930,7 +906,7 @@ def _verify_rec8n(name: str, n: int, seed: int, jobs: int) -> dict:
 
 
 def _verify_open_questions(name: str, n: int, seed: int, jobs: int) -> dict:
-    report = probe_open_questions(n, seed=seed, jobs=jobs)
+    report = probe_open_questions(n)
     return _report(name, n, report["a"]["conservative"], [], probe=report)
 
 
@@ -989,9 +965,10 @@ def verify_theorem(name: str, n: int, seed: int = 0, jobs: int = 1) -> dict:
     """Check one named claim at chain size n and report candidates checked
     plus any counterexamples. Every class is decided exhaustively, by a scan
     or a pruned search, except those of ``bis-a`` and ``bis-b`` at n = 5,
-    which are fixed-seed samples: ``seed`` reaches only those (and the
-    probe's part (c) at n = 5). The report is deterministic for fixed
-    (name, n, seed), regardless of the number of workers."""
+    which are fixed-seed samples drawn in this process: ``seed`` reaches only
+    those. ``jobs`` splits only the whole-space scans over worker processes.
+    The report is deterministic for fixed (name, n, seed), regardless of the
+    number of workers."""
     key = name.lower()
     cap = theorem_bound(key)
     if n < 1:
@@ -1014,7 +991,7 @@ def _validate_seed(seed: int) -> None:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
 
-def probe_open_questions(n: int, seed: int = 0, jobs: int = 1) -> dict:
+def probe_open_questions(n: int) -> dict:
     """Gather empirical evidence on the open enumeration and implication
     questions. Findings are reported as data; nothing is asserted.
 
@@ -1025,16 +1002,25 @@ def probe_open_questions(n: int, seed: int = 0, jobs: int = 1) -> dict:
       the tables it decided, not a formula;
     * symmetric bisymmetric tables lacking associativity or a neutral
       element, the first ``_MAX_COUNTEREXAMPLES`` of them listed: a pruned
-      search decides every symmetric table up to n = 4, a fixed-seed sample
-      of symmetric tables stands in at n = 5.
+      search decides every symmetric table up to n = 4. At n = 5 this part
+      is not run, and ``c`` says so.
     """
     _feasible(n, 5, "conservative operations", "2^(n^2-n)")
-    _validate_seed(seed)
     cons, cons_assoc = _drain(_search(n, _conservative, identities=(_ASSOCIATIVITY,)))
     sym, sym_assoc = _drain(_search(n, _conservative, mirror=True, identities=(_ASSOCIATIVITY,)))
-    part_c = _scan(_check_probe_c,
-                   lambda n: _drain(_search(n, _full(n), mirror=True, identities=(_BISYMMETRY,))),
-                   above4="sampled-symmetrized")("open-questions", n, seed, jobs)
+    if n > 4:
+        part_c = ("searched only up to n = 4: at n = 5 no search of the "
+                  "symmetric bisymmetric tables fits a desk budget")
+    else:
+        examined, tables = _drain(_search(n, _full(n), mirror=True, identities=(_BISYMMETRY,)))
+        found = _tally(tables, _check_probe_c, n)
+        part_c = {
+            "symmetric_tables_examined": examined,
+            "stats": found["stats"],
+            "findings": [{"table": c["table"], "finding": c["reason"]}
+                         for c in found["counterexamples"]],
+            "note": "findings are empirical observations, not a theorem",
+        }
     return {
         "n": n,
         "a": {
@@ -1046,13 +1032,5 @@ def probe_open_questions(n: int, seed: int = 0, jobs: int = 1) -> dict:
         "b": "no graphical bisymmetry test is known for non-symmetric "
              "conservative operations; the symmetric case reduces to the "
              "rectangle test",
-        "c": {
-            "mode": "sampled" if "seed" in part_c else "exhaustive",
-            "seed": part_c.get("seed"),
-            "symmetric_tables_examined": part_c["candidates"],
-            "stats": part_c["stats"],
-            "findings": [{"table": c["table"], "finding": c["reason"]}
-                         for c in part_c["counterexamples"]],
-            "note": "findings are empirical observations, not a theorem",
-        },
+        "c": part_c,
     }

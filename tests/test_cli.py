@@ -272,6 +272,43 @@ class TestCount:
         assert err == (f"error: the count for n = {n + 1} has more than {limit} digits, "
                        f"more than this interpreter prints\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "4000000000"], ["--n", "2000000", "--e", "1000000"],
+        ["--n", "20000000", "--e", "10000000"], ["--n", str(10 ** 4000)],
+        ["--n", str(10 ** 4000), "--e", "20"],
+    ])
+    def test_an_oversized_count_is_rejected_before_it_is_computed(self, capsys, monkeypatch,
+                                                                  argv):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter prints integers of any length")
+        from uninorms import cli
+        calls = []
+        monkeypatch.setattr(cli, "count_uninorms", lambda *a: calls.append(a))
+        monkeypatch.setattr(cli, "count_uninorms_by_neutral", lambda *a: calls.append(a))
+        code, out, err = run(capsys, "count", *argv)
+        assert calls == []
+        assert code == 2 and out == ""
+        assert err == (f"error: the count for n = {argv[1]} has more than {limit} digits, "
+                       f"more than this interpreter prints\n")
+
+    @pytest.mark.parametrize("argv,count", [
+        (["--n", "100000", "--e", "1"], 1), (["--n", "100000", "--e", "3"], 4999850001),
+        (["--n", "100000", "--e", "99998"], 4999850001), (["--n", "14285"], 2 ** 14284),
+        (["--n", str(10 ** 4000), "--e", "2"], 10 ** 4000 - 1),
+    ])
+    def test_counts_below_the_limit_still_print(self, capsys, argv, count):
+        code, out, _ = run(capsys, "count", *argv)
+        assert code == 0 and json.loads(out)["count"] == count
+
+    @pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "0", "--e", "1"],
+                                      ["--n", "2000000", "--e", "5000000"],
+                                      ["--n", "2000000", "--e", "-5"]])
+    def test_bad_input_keeps_its_own_error(self, capsys, argv):
+        code, out, err = run(capsys, "count", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "digits" not in err and err.count("\n") == 1
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):

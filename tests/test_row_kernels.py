@@ -182,8 +182,8 @@ def test_the_kernels_see_both_answers():
 
 
 def test_prel34_check_matches_its_definition():
-    def ref(t, n):
-        op = oracle._wrap(n, t)
+    def ref(op):
+        n = op.n
         if ref_idempotency_witness(op) is not None:
             return (), None
         e = ref_find_neutral_element(op)
@@ -197,10 +197,11 @@ def test_prel34_check_matches_its_definition():
                     return ("candidate",), f"above the neutral element F({x},{y}) != max"
         return ("candidate",), None
 
-    tables = oracle._nondecreasing_neutral(4)[1] + [
-        t for t in oracle.idempotent_space(3) if ref_find_neutral_element(oracle._wrap(3, t))]
-    results = [oracle._check_prel34(t, len(t)) for t in tables]
-    assert results == [ref(t, len(t)) for t in tables]
+    ops = [oracle._wrap(4, t) for t in oracle._nondecreasing_neutral(4)[1]] + [
+        op for op in (oracle._wrap(3, t) for t in oracle.idempotent_space(3))
+        if ref_find_neutral_element(op)]
+    results = [oracle._check_prel34(op) for op in ops]
+    assert results == [ref(op) for op in ops]
     assert {bad is None for _, bad in results} == {True, False}
 
 
