@@ -42,7 +42,10 @@ class BinaryOperation:
     table it is given. ``_unchecked_operation`` does not: it trusts its
     caller, a table source that checked its cell domains once for all the
     tables it makes, or a construction whose every entry is one of its two
-    arguments.
+    arguments. The three constructions of idempotent discrete uninorms are
+    of that kind: the contour algorithm writes each cell as its shell's new
+    element, the patchwork writes min(x, y) or max(x, y), and the order
+    maximum writes x or y.
     """
 
     chain: FiniteChain
@@ -223,16 +226,21 @@ def format_table(op: BinaryOperation) -> str:
 
 
 def parse_table(text: str) -> BinaryOperation:
-    """Parse the text table format; blank lines and '#' comments are skipped."""
+    """Parse the text table format; blank lines and '#' comments are skipped.
+
+    The size and the entries are numerals of ASCII digits; the size may
+    carry a minus sign, so that a negative size gets the chain size error.
+    """
     tokens = _data_lines(text)
     if not tokens:
         raise ValueError("empty table input")
-    try:
-        n = int(tokens[0][0])
-    except ValueError:
-        raise ValueError(f"first value must be the chain size, got {tokens[0][0]!r}")
+    head = tokens[0][0]
+    if not _numerals([head.removeprefix("-")]):
+        raise ValueError(f"first value must be the chain size, got {head!r}")
     if len(tokens[0]) != 1:
         raise ValueError("first line must contain the chain size only")
+    chain = FiniteChain(int(head))
+    n = chain.n
     rows = tokens[1:]
     if len(rows) != n:
         raise ValueError(f"expected {n} table lines, found {len(rows)}")
@@ -240,13 +248,12 @@ def parse_table(text: str) -> BinaryOperation:
     for line in rows:
         if len(line) != n:
             raise ValueError(f"expected {n} entries per line, found {len(line)}")
-        try:
-            by_y.append([int(s) for s in line])
-        except ValueError:
-            raise ValueError(f"non-integer table entry in line {line!r}")
+        if not _numerals(line):
+            raise ValueError(f"table entries must be runs of at most {_MAX_DIGITS} "
+                             f"digits 0-9, got line {line!r}")
+        by_y.append(list(map(int, line)))
     # file lines are indexed by y; transpose into table[x][y]
-    table = [[by_y[y][x] for y in range(n)] for x in range(n)]
-    return make_operation(n, table)
+    return make_operation(chain, tuple(zip(*by_y)))
 
 
 def table_to_json_dict(op: BinaryOperation) -> dict:
@@ -264,6 +271,7 @@ def table_from_json_dict(data: dict) -> BinaryOperation:
         raise ValueError("JSON table must have 'n' and 'table' keys")
     if type(n) is not int:
         raise ValueError(f"JSON 'n' must be an integer, got {json.dumps(n)}")
+    chain = FiniteChain(n)
     if (not isinstance(rows, list) or len(rows) != n
             or any(not isinstance(r, list) or len(r) != n for r in rows)):
         raise ValueError(f"JSON table must be {n}x{n}")
@@ -272,7 +280,7 @@ def table_from_json_dict(data: dict) -> BinaryOperation:
             if type(v) is not int:
                 raise ValueError(f"JSON table entry {json.dumps(v)} is not an integer")
     table = [[rows[y][x] for y in range(n)] for x in range(n)]
-    return make_operation(n, table)
+    return make_operation(chain, table)
 
 
 def parse_table_auto(text: str) -> BinaryOperation:
@@ -296,10 +304,10 @@ def parse_order(text: str) -> LinearOrder:
     tokens = _data_lines(text)
     if len(tokens) != 1:
         raise ValueError("order input must be a single line of elements")
-    try:
-        seq = tuple(int(s) for s in tokens[0])
-    except ValueError:
-        raise ValueError(f"non-integer order entry in {tokens[0]!r}")
+    if not _numerals(tokens[0]):
+        raise ValueError(f"order entries must be runs of at most {_MAX_DIGITS} "
+                         f"digits 0-9, got {tokens[0]!r}")
+    seq = tuple(map(int, tokens[0]))
     return LinearOrder(FiniteChain(len(seq)), seq)
 
 
@@ -311,3 +319,18 @@ def _data_lines(text: str) -> list[list[str]]:
             continue
         out.append(line.split())
     return out
+
+
+# int() refuses numerals longer than sys.get_int_max_str_digits(), which can
+# be set as low as 640; no chain size or table entry needs that many digits
+_MAX_DIGITS = 640
+
+
+def _numerals(tokens: list[str]) -> bool:
+    """Whether every token is a run of at most _MAX_DIGITS ASCII digits:
+    ``int`` alone would also take a sign, underscores and the digits of
+    other scripts. The tokens are tested joined, since split never makes an
+    empty one, and measured one by one only when the line is that long."""
+    joined = "".join(tokens)
+    return (joined.isascii() and joined.isdigit()
+            and (len(joined) <= _MAX_DIGITS or max(map(len, tokens)) <= _MAX_DIGITS))

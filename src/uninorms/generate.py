@@ -10,49 +10,60 @@
 
 All three produce the same set of 2^(n-1) operations; the test suite checks
 the set equality exhaustively.
+
+Each construction writes its table a shell or a row at a time and wraps it
+without the public constructor's check: every entry is one of the cell's two
+arguments, so it lies in 1..n.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterator
 
-from .core import BinaryOperation, FiniteChain, GSpec, make_operation
+from .core import BinaryOperation, FiniteChain, GSpec, _unchecked_operation
 
 
 def generate_all_uninorms_gc(n: int) -> Iterator[BinaryOperation]:
     """Every idempotent discrete uninorm on the n-chain, built shell by shell.
+
+    The shells are laid into one working table. Along each path from a
+    neutral element to a leaf the shells partition the square, so every cell
+    is written exactly once before the leaf snapshots the table, and no
+    shell needs undoing when the search backs up. Every entry is the shell's
+    new element, one of the cell's two arguments, so the snapshots are
+    wrapped without a check.
 
     The emission order matches enumerate_single_peaked: start elements
     ascending, downward extension explored before upward.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    chain = FiniteChain(n)
+    table = [[0] * n for _ in range(n)]
 
-    def rec(lo: int, hi: int, table: list[list[int]]) -> Iterator[BinaryOperation]:
+    def rec(lo: int, hi: int) -> Iterator[BinaryOperation]:
         if hi - lo + 1 == n:
-            yield BinaryOperation(chain, tuple(tuple(row) for row in table))
+            yield _unchecked_operation(n, tuple(map(tuple, table)))
             return
         if lo > 1:
-            yield from rec(lo - 1, hi, _lay_shell(table, lo - 1, lo - 1, hi))
+            _lay_shell(table, lo - 1, lo - 1, hi)
+            yield from rec(lo - 1, hi)
         if hi < n:
-            yield from rec(lo, hi + 1, _lay_shell(table, hi + 1, lo, hi + 1))
+            _lay_shell(table, hi + 1, lo, hi + 1)
+            yield from rec(lo, hi + 1)
 
     for e in range(1, n + 1):
-        table = [[0] * n for _ in range(n)]
         table[e - 1][e - 1] = e
-        yield from rec(e, e, table)
+        yield from rec(e, e)
 
 
-def _lay_shell(table: list[list[int]], a: int, lo: int, hi: int) -> list[list[int]]:
-    """Copy the table and connect the shell of new points with common value a:
-    the row and column of a over the extended interval [lo, hi]."""
-    out = [row[:] for row in table]
-    for v in range(lo, hi + 1):
-        out[a - 1][v - 1] = a
-        out[v - 1][a - 1] = a
-    return out
+def _lay_shell(table: list[list[int]], a: int, lo: int, hi: int) -> None:
+    """Write the shell of new points with common value a into the table: the
+    row and column of a over the extended interval [lo, hi]."""
+    table[a - 1][lo - 1:hi] = [a] * (hi - lo + 1)
+    for row in table[lo - 1:hi]:
+        row[a - 1] = a
 
 
 def count_uninorms(n: int) -> int:
@@ -88,34 +99,34 @@ def make_gbar(spec: GSpec) -> tuple[int, ...]:
 
     At x = e the first two branches agree because g(e) = e.
     """
-    n = spec.chain.n
-    e = spec.e
-    g1 = spec.g[0]
-    out = []
-    for x in range(1, n + 1):
-        if x <= e:
-            out.append(spec.g[x - 1])
-        elif x <= g1:
-            out.append(max(z for z in range(1, e + 1) if spec.g[z - 1] >= x))
-        else:
-            out.append(1)
-    return tuple(out)
+    n, e, g = spec.chain.n, spec.e, spec.g
+    # g is nonincreasing, so the z with g(z) >= x are 1..m, and the largest
+    # is their count m: e minus the number of values below x
+    rising = g[::-1]
+    middle = tuple(e - bisect_left(rising, x) for x in range(e + 1, g[0] + 1))
+    return g + middle + (1,) * (n - g[0])
 
 
 def uninorm_from_gspec(spec: GSpec) -> BinaryOperation:
     """The min/max patchwork operation of a parameter choice: min below the
-    extended boundary, max everywhere else."""
+    extended boundary, max everywhere else.
+
+    Row x is min(x, y) for y <= gbar(x) when x <= gbar(1), and max(x, y)
+    otherwise. Either way it is the identity row with a run of x between x
+    and the row's boundary (gbar(x), or 0 where the row is all max). Every
+    entry is the min or max of its two arguments, so the table is wrapped
+    without a check.
+    """
     n = spec.chain.n
     gbar = make_gbar(spec)
-    gbar1 = gbar[0]
-    table = [
-        [
-            min(x, y) if y <= gbar[x - 1] and x <= gbar1 else max(x, y)
-            for y in range(1, n + 1)
-        ]
-        for x in range(1, n + 1)
-    ]
-    return make_operation(n, table)
+    ids = tuple(range(1, n + 1))
+    rows = []
+    for x, k in enumerate(gbar, 1):
+        if x > gbar[0]:
+            k = 0
+        lo, hi = (x, k) if x <= k else (k, x)
+        rows.append(ids[:lo] + (x,) * (hi - lo) + ids[hi:])
+    return _unchecked_operation(n, tuple(rows))
 
 
 def enumerate_gspecs(n: int) -> Iterator[GSpec]:

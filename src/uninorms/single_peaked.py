@@ -11,6 +11,8 @@ exactly one ordering.
 """
 from __future__ import annotations
 
+from itertools import compress
+from operator import ne
 from typing import Iterator, Optional
 
 from .core import BinaryOperation, FiniteChain, LinearOrder, _unchecked_operation
@@ -109,13 +111,18 @@ def order_to_uninorm(order: LinearOrder) -> BinaryOperation:
     if w is not None:
         raise ValueError(f"ordering is not single-peaked, witness triple {w}")
     n = order.n
-    pos = _positions(order)
-    # every entry is x or y in 1..n, so the table needs no check
-    table = tuple(
-        tuple(y if pos[x] <= pos[y] else x for y in range(1, n + 1))
-        for x in range(1, n + 1)
-    )
-    return _unchecked_operation(n, table)
+    # Row x is the identity row with x written at the elements ranked at or
+    # below x. Walking up the ordering, each element's index is pointed at
+    # the last slot of `src`, which holds the current x. Every entry is x or
+    # y in 1..n, so the table needs no check.
+    src = list(range(1, n + 2))
+    index = list(range(n))
+    rows: list[tuple[int, ...]] = [()] * n
+    for x in order.seq:
+        index[x - 1] = n
+        src[n] = x
+        rows[x - 1] = tuple(map(src.__getitem__, index))
+    return _unchecked_operation(n, tuple(rows))
 
 
 def uninorm_to_order(op: BinaryOperation) -> LinearOrder:
@@ -126,25 +133,40 @@ def uninorm_to_order(op: BinaryOperation) -> LinearOrder:
     if those ranks fail to form a permutation the induced relation was not a
     linear order, which means a checker bug rather than bad input.
     """
-    problems = []
-    if conservativeness_witness(op) is not None:
-        problems.append("conservative")
-    if symmetry_witness(op) is not None:
-        problems.append("symmetric")
-    if monotonicity_witness(op) is not None:
-        problems.append("nondecreasing")
-    if problems:
-        raise ValueError(f"operation is not {', '.join(problems)}")
-    n = op.n
-    seq: list[int] = [0] * n
-    for v in range(1, n + 1):
-        rank = [row[v - 1] for row in op.table].count(v)  # the u with F(u, v) = v
+    t = op.table
+    cols = tuple(zip(*t))
+    # whole-row tests first; once the table equals its transpose, sorted rows
+    # mean sorted columns too
+    if not (t == cols and _rows_sorted(t) and _rows_conservative(t)):
+        # name every property that fails, as the witnesses decide it
+        problems = []
+        if conservativeness_witness(op) is not None:
+            problems.append("conservative")
+        if symmetry_witness(op) is not None:
+            problems.append("symmetric")
+        if monotonicity_witness(op) is not None:
+            problems.append("nondecreasing")
+        if problems:
+            raise ValueError(f"operation is not {', '.join(problems)}")
+    seq: list[int] = [0] * op.n
+    for v, col in enumerate(cols, 1):
+        rank = col.count(v)  # the u with F(u, v) = v
         if seq[rank - 1]:
             raise RuntimeError(
                 "induced relation is not a linear order; checker inconsistency"
             )
         seq[rank - 1] = v
     return LinearOrder(op.chain, tuple(seq))
+
+
+def _rows_sorted(t: tuple[tuple[int, ...], ...]) -> bool:
+    return all(list(row) == sorted(row) for row in t)
+
+
+def _rows_conservative(t: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether in each row x every entry other than y is x."""
+    ids = range(1, len(t) + 1)
+    return all(set(compress(row, map(ne, row, ids))) <= {x} for x, row in enumerate(t, 1))
 
 
 def _positions(order: LinearOrder) -> dict[int, int]:

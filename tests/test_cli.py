@@ -153,6 +153,28 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # int() would read each of these numbers but the overlong one, which
+    # gets past a low digit limit; the formats allow short runs of ASCII
+    # digits only, and a size below 1 is a chain size error, as 0 is
+    @pytest.mark.parametrize("argv,text,message", [
+        (["check"], "2\n1 0_2\n2 2\n", "digits 0-9"),
+        (["check"], "2\n+1 2\n2 2\n", "digits 0-9"),
+        (["check"], "2\n1 \uff12\n2 2\n", "digits 0-9"),
+        (["check"], "2\n1 " + "0" * 640 + "2\n2 2\n", "at most 640 digits"),
+        (["check"], "+2\n1 2\n2 2\n", "first value must be the chain size"),
+        (["check"], "-1\n", "chain size must be a positive integer, got -1"),
+        (["check"], '{"n": -1, "table": []}', "chain size must be a positive integer, got -1"),
+        (["render", "--style", "profile"], "1_0 2 3 4 5 6 7 8 9 1\n", "digits 0-9"),
+        (["render", "--style", "profile"], "2 +1 3\n", "digits 0-9"),
+        (["render", "--style", "profile"], "2 \uff11 3\n", "digits 0-9"),
+    ], ids=["underscore", "plus-sign", "full-width", "overlong", "signed-size", "negative-size",
+            "json-negative-size", "order-underscore", "order-plus-sign", "order-full-width"])
+    def test_lax_numbers_are_rejected(self, capsys, monkeypatch, argv, text, message):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run(capsys, argv[0], "-", *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_deeply_nested_json(self, capsys, monkeypatch):
         import io

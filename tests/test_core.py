@@ -231,6 +231,11 @@ class TestOrders:
         assert order.rank(2) == 1 and order.rank(5) == 5
         assert order.precedes(4, 1) and not order.precedes(5, 2)
 
+    def test_a_line_of_more_than_640_digits_reads(self):
+        # the 640-digit bound is on each number, not on the line
+        seq = tuple(range(300, 0, -1))
+        assert parse_order(" ".join(map(str, seq))).seq == seq
+
     def test_non_permutation_rejected(self):
         with pytest.raises(ValueError):
             LinearOrder(FiniteChain(3), (1, 2, 2))

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uninorms import (
+    BinaryOperation,
     FiniteChain,
     GSpec,
     count_uninorms,
@@ -204,3 +205,71 @@ class TestConstructionsAgree:
         assert groups == {
             e: count_uninorms_by_neutral(n, e) for e in range(1, n + 1)
         }
+
+
+# References for the contour algorithm and the patchwork, written cell by
+# cell: the tables must come out equal and in the same order. The order
+# maximum's reference is in test_single_peaked.
+
+def ref_contour_algorithm(n):
+    """The contour algorithm with a fresh copy of the table per shell."""
+    def lay(table, a, lo, hi):
+        out = [row[:] for row in table]
+        for v in range(lo, hi + 1):
+            out[a - 1][v - 1] = a
+            out[v - 1][a - 1] = a
+        return out
+
+    def rec(lo, hi, table):
+        if hi - lo + 1 == n:
+            yield tuple(tuple(row) for row in table)
+            return
+        if lo > 1:
+            yield from rec(lo - 1, hi, lay(table, lo - 1, lo - 1, hi))
+        if hi < n:
+            yield from rec(lo, hi + 1, lay(table, hi + 1, lo, hi + 1))
+
+    for e in range(1, n + 1):
+        table = [[0] * n for _ in range(n)]
+        table[e - 1][e - 1] = e
+        yield from rec(e, e, table)
+
+
+def ref_gbar(spec):
+    n, e, g = spec.chain.n, spec.e, spec.g
+    return tuple(
+        g[x - 1] if x <= e
+        else max(z for z in range(1, e + 1) if g[z - 1] >= x) if x <= g[0]
+        else 1
+        for x in range(1, n + 1))
+
+
+def ref_patchwork(spec):
+    """min(x, y) where y <= gbar(x) and x <= gbar(1), max(x, y) elsewhere."""
+    n = spec.chain.n
+    gbar = ref_gbar(spec)
+    return tuple(
+        tuple(min(x, y) if y <= gbar[x - 1] and x <= gbar[0] else max(x, y)
+              for y in range(1, n + 1))
+        for x in range(1, n + 1))
+
+
+def _checked(op):
+    # the constructions wrap without a check; the public constructor must
+    # accept each table, on the chain of the right size
+    assert BinaryOperation(FiniteChain(op.n), op.table) == op
+    return op.table
+
+
+class TestConstructionsMatchTheirReferences:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_contour_algorithm(self, n):
+        assert [_checked(op) for op in generate_all_uninorms_gc(n)] == list(
+            ref_contour_algorithm(n))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_patchwork(self, n):
+        specs = list(enumerate_gspecs(n))
+        assert [make_gbar(s) for s in specs] == [ref_gbar(s) for s in specs]
+        assert [_checked(uninorm_from_gspec(s)) for s in specs] == [
+            ref_patchwork(s) for s in specs]

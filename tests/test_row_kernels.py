@@ -23,6 +23,7 @@ from uninorms.properties import (
     find_neutral_element,
     idempotency_witness,
     monotonicity_witness,
+    symmetry_witness,
 )
 from uninorms.render import render_contour_text
 from uninorms.single_peaked import enumerate_single_peaked, order_to_uninorm, uninorm_to_order
@@ -55,6 +56,13 @@ def ref_idempotency_witness(op):
 def ref_conservativeness_witness(op):
     for x, y in _cells(op):
         if op(x, y) != x and op(x, y) != y:
+            return (x, y)
+    return None
+
+
+def ref_symmetry_witness(op):
+    for x, y in _cells(op):
+        if x < y and op(x, y) != op(y, x):
             return (x, y)
     return None
 
@@ -143,6 +151,7 @@ def ref_render_contour_text(op, witness=None):
 _KERNELS = {
     "idempotency_witness": (idempotency_witness, ref_idempotency_witness),
     "conservativeness_witness": (conservativeness_witness, ref_conservativeness_witness),
+    "symmetry_witness": (symmetry_witness, ref_symmetry_witness),
     "monotonicity_witness": (monotonicity_witness, ref_monotonicity_witness),
     "find_neutral_element": (find_neutral_element, ref_find_neutral_element),
     "contour_conservativeness_witness": (contour_conservativeness_witness,
@@ -203,6 +212,61 @@ def test_prel34_check_matches_its_definition():
     results = [oracle._check_prel34(op) for op in ops]
     assert results == [ref(op) for op in ops]
     assert {bad is None for _, bad in results} == {True, False}
+
+
+def ref_uninorm_to_order(op):
+    """The input check by the three witnesses, then each element's rank as
+    the number of elements it absorbs."""
+    problems = [name for name, witness in (("conservative", conservativeness_witness),
+                                           ("symmetric", symmetry_witness),
+                                           ("nondecreasing", monotonicity_witness))
+                if witness(op) is not None]
+    if problems:
+        raise ValueError(f"operation is not {', '.join(problems)}")
+    n = op.n
+    ranks = [sum(op(u, v) == v for u in range(1, n + 1)) for v in range(1, n + 1)]
+    if sorted(ranks) != list(range(1, n + 1)):
+        raise RuntimeError("induced relation is not a linear order; checker inconsistency")
+    return tuple(sorted(range(1, n + 1), key=lambda v: ranks[v - 1]))
+
+
+def _order_or_error(to_order, op):
+    try:
+        return "order", to_order(op)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _changed(op):
+    """The table with each cell in turn moved to the next value, cyclically;
+    then with each cell above the diagonal and its mirror image moved
+    together, so that the table stays symmetric and the other checks decide."""
+    n = op.n
+    rows = [list(row) for row in op.table]
+    for x in range(n):
+        for y in range(n):
+            changes = [[(x, y)]] + ([[(x, y), (y, x)]] if x < y else [])
+            for cells in changes:
+                for i, j in cells:
+                    rows[i][j] = op.table[i][j] % n + 1
+                yield BinaryOperation(op.chain, tuple(map(tuple, rows)))
+                for i, j in cells:
+                    rows[i][j] = op.table[i][j]
+
+
+_UNINORMS = [op for n in range(1, 9) for op in generate_all_uninorms_gc(n)]
+
+
+@pytest.mark.parametrize("tables", ["full3", "conservative4", "uninorms", "uninorms-changed"])
+def test_uninorm_to_order_checks_its_input_as_the_witnesses_do(tables):
+    ops = (_operations(tables) if tables in _SPACES
+           else _UNINORMS if tables == "uninorms"
+           else [changed for op in _UNINORMS for changed in _changed(op)])
+    got = [_order_or_error(lambda op: uninorm_to_order(op).seq, op) for op in ops]
+    assert got == [_order_or_error(ref_uninorm_to_order, op) for op in ops]
+    # every generated uninorm has its order; the other sets hold both kinds
+    outcomes = {"order"} if tables == "uninorms" else {"order", "ValueError"}
+    assert {kind for kind, _ in got} == outcomes
 
 
 @pytest.mark.parametrize("n", range(1, 9))

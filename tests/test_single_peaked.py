@@ -150,7 +150,7 @@ class TestOrderToUninorm:
         assert is_symmetric(op)
         assert is_nondecreasing(op)
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_tables_pass_the_public_constructor(self, n):
         # order_to_uninorm skips the table check, so check each table here
         # against the definition: F(x, y) is whichever of x, y ranks higher
@@ -163,6 +163,27 @@ class TestOrderToUninorm:
             )
             assert checked.table == expected
             assert op.chain == FiniteChain(n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_permutation_gives_the_reference_result_or_error(self, n):
+        def ref(o):
+            w = definitional_witness(o)
+            if w is not None:
+                return f"ordering is not single-peaked, witness triple {w}"
+            rank = {v: k for k, v in enumerate(o.seq)}
+            return tuple(tuple(y if rank[x] <= rank[y] else x for y in range(1, n + 1))
+                         for x in range(1, n + 1))
+
+        def got(o):
+            try:
+                return order_to_uninorm(o).table
+            except ValueError as exc:
+                return str(exc)
+
+        orders = [order(*seq) for seq in permutations(range(1, n + 1))]
+        results = [got(o) for o in orders]
+        assert results == [ref(o) for o in orders]
+        assert sum(isinstance(r, tuple) for r in results) == 2 ** (n - 1)
 
 
 class TestUninormToOrder:
