@@ -15,14 +15,13 @@ whatever the worker count; ``--jobs`` splits only the whole-space scans,
 into fixed index chunks whose results merge in order, so results do not
 depend on how many workers run the chunks. Sampling is left only for
 ``bis-a`` and ``bis-b`` at n = 5, where no search of their classes fits a
-desk budget: each draws a sample with one fixed seed in fixed-size chunks,
-in the calling process. Part (c) of the open-questions probe is searched up
-to n = 4 and not run at n = 5.
+desk budget: each draws, in the calling process, the tables of its class
+that ``SAMPLE_SIZE`` uniform draws with one fixed seed keep. Part (c) of the
+open-questions probe is searched up to n = 4 and not run at n = 5.
 
-Each source of tables is validated once, not each table: a space and a
-search check their cell domains (every value an int, not a bool, in 1..n)
-before they make a table, and a sample checks each chunk's range before it
-converts the chunk. The scan driver then wraps each table once with
+Each source of tables, a space, a search or a sample, is validated once: it
+checks its cell domains (every value an int, not a bool, in 1..n) before it
+makes a table. The scan driver then wraps each table once with
 ``core._unchecked_operation``, which skips ``BinaryOperation``'s per-table
 check and shares one chain per n, and hands the operation to the check.
 
@@ -34,14 +33,13 @@ none).
 from __future__ import annotations
 
 import os
+import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, permutations, product
 from math import comb, prod
 from typing import Generator, Iterator, Optional
-
-import numpy as np
 
 from .core import (
     BinaryOperation,
@@ -81,8 +79,6 @@ from .single_peaked import (
 )
 
 SAMPLE_SIZE = 100_000
-_SAMPLE_CHUNKS = 100
-_SAMPLE_PER_CHUNK = SAMPLE_SIZE // _SAMPLE_CHUNKS
 _SCAN_CHUNKS = 64
 _MAX_COUNTEREXAMPLES = 20
 
@@ -208,12 +204,6 @@ def _conservative(i: int, j: int) -> list[int]:
 
 def conservative_space(n: int) -> TableSpace:
     return _space(n, _conservative)
-
-
-def _wrap(n: int, table: tuple[tuple[int, ...], ...]) -> BinaryOperation:
-    """The operation of a table from a space, a search or a sample chunk,
-    whose values were checked once for the whole source."""
-    return _unchecked_operation(n, table)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +378,7 @@ def enumerate_all_operations(n: int) -> Iterator[BinaryOperation]:
     """All n^(n^2) total tables, lexicographic by table entries; n <= 3."""
     _feasible(n, 3, "all operations", "n^(n^2)")
     for t in full_space(n):
-        yield _wrap(n, t)
+        yield _unchecked_operation(n, t)
 
 
 def enumerate_conservative(n: int, symmetric_only: bool = False) -> Iterator[BinaryOperation]:
@@ -403,7 +393,7 @@ def enumerate_conservative(n: int, symmetric_only: bool = False) -> Iterator[Bin
         _feasible(n, 5, "conservative operations", "2^(n^2-n)")
         tables = conservative_space(n)
     for t in tables:
-        yield _wrap(n, t)
+        yield _unchecked_operation(n, t)
 
 
 def enumerate_nondecreasing(n: int) -> Iterator[BinaryOperation]:
@@ -411,7 +401,7 @@ def enumerate_nondecreasing(n: int) -> Iterator[BinaryOperation]:
     lexicographic by table entries; n <= 4."""
     _feasible(n, 4, "nondecreasing operations", "box plane partition numbers")
     for t in _search(n, _full(n), nondecreasing=True):
-        yield _wrap(n, t)
+        yield _unchecked_operation(n, t)
 
 
 def _feasible(n: int, cap: int, what: str, growth: str) -> None:
@@ -436,7 +426,7 @@ def _tally(tables, check, n: int) -> dict:
     cex: list[dict] = []
     checked = 0
     for checked, t in enumerate(tables, 1):
-        op = _wrap(n, t)
+        op = _unchecked_operation(n, t)
         delta, bad = check(op)
         for k in delta:
             stats[k] = stats.get(k, 0) + 1
@@ -493,41 +483,6 @@ _SPACES = {
 }
 
 
-def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
-
-
-def _neutral_mask(arr: np.ndarray, n: int) -> np.ndarray:
-    idx = np.arange(1, n + 1)
-    out = np.zeros(len(arr), dtype=bool)
-    for e0 in range(n):
-        out |= (arr[:, e0, :] == idx).all(axis=1) & (arr[:, :, e0] == idx).all(axis=1)
-    return out
-
-
-def _symmetric_mask(arr: np.ndarray) -> np.ndarray:
-    return (arr == arr.transpose(0, 2, 1)).all(axis=(1, 2))
-
-
-def _draw(hypothesis: str, n: int, seed: int, chunk: int) -> list:
-    """The tables of one chunk of uniform draws that have a neutral element
-    (``sampled-neutral``) or are symmetric (``sampled-symmetric``)."""
-    arr = _chunk_rng(seed, chunk).integers(1, n + 1, size=(_SAMPLE_PER_CHUNK, n, n))
-    if arr.min() < 1 or arr.max() > n:  # the one check of the chunk's tables
-        raise ValueError(f"drawn values outside 1..{n}")
-    keep = _neutral_mask(arr, n) if hypothesis == "sampled-neutral" else _symmetric_mask(arr)
-    return [tuple(map(tuple, t)) for t in arr[keep].tolist()]
-
-
-def _sample(check, hypothesis: str, n: int, seed: int) -> dict:
-    """Tally ``check`` over the draws of ``hypothesis`` that meet it, out of
-    SAMPLE_SIZE fixed-seed draws in _SAMPLE_CHUNKS chunks, drawn in turn."""
-    tables = [t for chunk in range(_SAMPLE_CHUNKS) for t in _draw(hypothesis, n, seed, chunk)]
-    part = _tally(tables, check, n)
-    return {"checked": SAMPLE_SIZE, "stats": {"prefiltered": len(tables), **part["stats"]},
-            "counterexamples": part["counterexamples"]}
-
-
 def _scan_chunk(args) -> dict:
     check, n, space, start, stop = args
     return _tally(_SPACES[space](n).iter_range(start, stop), check, n)
@@ -539,6 +494,48 @@ def _sweep(check, space: str, n: int, jobs: int = 1) -> dict:
     tasks = [(check, n, space, start, stop)
              for start, stop in _chunk_bounds(_SPACES[space](n).size)]
     return _merge_scans(_run_chunks(_scan_chunk, tasks, jobs))
+
+
+# ---------------------------------------------------------------------------
+# fixed-seed samples
+#
+# A class is given as disjoint parts, each the (cell domains, mirror) of one
+# search. A uniform draw over all n^(n^2) tables lands in the class with
+# probability p = |class| / n^(n^2), and one that does is uniform on it. So a
+# sample runs SAMPLE_SIZE Bernoulli(p) trials, then draws each table it keeps
+# cell by cell, from a part picked in proportion to its size.
+
+def _neutral_parts(n: int) -> list:
+    """The tables with neutral element e, for each e; no table has two."""
+    return [(_neutral(n, e), False) for e in range(1, n + 1)]
+
+
+def _symmetric_parts(n: int) -> list:
+    return [(_full(n), True)]
+
+
+def _sized(n: int, parts) -> Iterator[tuple[int, list, list]]:
+    """(size, cells, domains) of each of ``parts``, its domains checked."""
+    for values, mirror in parts:
+        cells = [(i, j) for i in range(n) for j in range(i if mirror else 0, n)]
+        domains = _domains(n, values, cells)
+        yield prod(map(len, domains)), cells, domains
+
+
+def _draw(parts, n: int, seed: int) -> list:
+    """The tables of ``parts`` that SAMPLE_SIZE uniform draws over all
+    n^(n^2) tables keep, each drawn by one random.Random(seed)."""
+    rng = random.Random(seed)
+    sized = list(_sized(n, parts))
+    sizes = [size for size, _, _ in sized]
+    p = sum(sizes) / n ** (n * n)
+    kept = sum(rng.random() < p for _ in range(SAMPLE_SIZE))
+    tables = []
+    for _, cells, domains in rng.choices(sized, sizes, k=kept):
+        cell = dict(zip(cells, map(rng.choice, domains)))  # a mirrored part: j >= i only
+        tables.append(tuple(tuple(cell.get((i, j), cell.get((j, i))) for j in range(n))
+                            for i in range(n)))
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -741,16 +738,17 @@ def _report(name: str, n: int, candidates: int, counterexamples: list,
     return out
 
 
-def _scan(check, source, above4: Optional[str] = None):
+def _scan(check, source, above4=None):
     """Runner that tallies ``check`` over the tables of ``source``: a space
     name, whose every table is a candidate, or a hypothesis ``source(n) ->
-    (candidates, tables)``. Past chain size 4 it tallies over the fixed-seed
-    sample ``above4`` instead, when one is given."""
+    (candidates, tables)``. Past chain size 4 it tallies over a fixed-seed
+    sample of the class ``above4(n)`` instead, when one is given."""
     def run(name: str, n: int, seed: int, jobs: int) -> dict:
         if above4 is not None and n > 4:
-            part = _sample(check, above4, n, seed)
-            return _report(name, n, part["checked"], part["counterexamples"],
-                           stats=part["stats"], seed=seed)
+            tables = _draw(above4(n), n, seed)
+            part = _tally(tables, check, n)
+            return _report(name, n, SAMPLE_SIZE, part["counterexamples"],
+                           stats={"prefiltered": len(tables), **part["stats"]}, seed=seed)
         if callable(source):
             candidates, tables = source(n)
             part = _tally(tables, check, n)
@@ -766,18 +764,17 @@ def _axiom_tables(n: int) -> tuple[int, list]:
     return _drain(_search(n, _conservative, mirror=True, nondecreasing=True))
 
 
-def _per_neutral(n: int, **constraints) -> tuple[int, list]:
-    """The tables with neutral element e that meet ``constraints``, for
-    e = 1..n in turn; no table has two neutral elements, so none is found
-    twice."""
-    parts = [_drain(_search(n, _neutral(n, e), **constraints)) for e in range(1, n + 1)]
-    return sum(decided for decided, _ in parts), [t for _, found in parts for t in found]
+def _searched(n: int, parts, **constraints) -> tuple[int, list]:
+    """(decided, tables) of a search of each of ``parts``, (cell domains,
+    mirror) pairs, in turn."""
+    runs = [_drain(_search(n, values, mirror, **constraints)) for values, mirror in parts]
+    return sum(decided for decided, _ in runs), [t for _, found in runs for t in found]
 
 
 def _nondecreasing_neutral(n: int) -> tuple[int, list]:
     """The nondecreasing tables with a neutral element. The claims that read
     them hold on this class, so each of its tables is a candidate."""
-    tables = _per_neutral(n, nondecreasing=True)[1]
+    tables = _searched(n, _neutral_parts(n), nondecreasing=True)[1]
     return len(tables), tables
 
 
@@ -787,7 +784,7 @@ def _compare_generated(n: int, found: list, generated: frozenset) -> list[dict]:
     cex = [{"table": _json_rows(t), "reason": "passes the axioms but is never generated"}
            for t in found if t not in generated]
     for t in sorted(generated.difference(found)):
-        op = _wrap(n, t)
+        op = _unchecked_operation(n, t)
         fails = not (is_conservative(op) and is_symmetric(op) and is_nondecreasing(op))
         cex.append({"table": _json_rows(t),
                     "reason": "generated but fails the axioms" if fails
@@ -923,13 +920,13 @@ _CATALOG = {
     "corollary-mainb": (5, "adding idempotency or conservativeness yields the idempotent ones",
                         _scan(_check_corollary_mainb, _nondecreasing_neutral)),
     "bis-a": (5, "bisymmetric with neutral element implies associative and symmetric",
-              _scan(_check_bis_a, lambda n: _per_neutral(n, identities=(_BISYMMETRY,)),
-                    above4="sampled-neutral")),
+              _scan(_check_bis_a,
+                    lambda n: _searched(n, _neutral_parts(n), identities=(_BISYMMETRY,)),
+                    above4=_neutral_parts)),
     "bis-b": (5, "associative and symmetric implies bisymmetric",
               _scan(_check_bis_b,
-                    lambda n: _drain(_search(n, _full(n), mirror=True,
-                                             identities=(_ASSOCIATIVITY,))),
-                    above4="sampled-symmetric")),
+                    lambda n: _searched(n, _symmetric_parts(n), identities=(_ASSOCIATIVITY,)),
+                    above4=_symmetric_parts)),
     "bis-c": (5, "bisymmetric and conservative implies associative",
               _scan(_check_bis_c,
                     lambda n: _drain(_search(n, _conservative, identities=(_BISYMMETRY,))))),
@@ -965,10 +962,10 @@ def verify_theorem(name: str, n: int, seed: int = 0, jobs: int = 1) -> dict:
     """Check one named claim at chain size n and report candidates checked
     plus any counterexamples. Every class is decided exhaustively, by a scan
     or a pruned search, except those of ``bis-a`` and ``bis-b`` at n = 5,
-    which are fixed-seed samples drawn in this process: ``seed`` reaches only
-    those. ``jobs`` splits only the whole-space scans over worker processes.
-    The report is deterministic for fixed (name, n, seed), regardless of the
-    number of workers."""
+    which are fixed-seed samples drawn in this process from the cell domains
+    of the class: ``seed`` reaches only those. ``jobs`` splits only the
+    whole-space scans over worker processes. The report is deterministic for
+    fixed (name, n, seed), regardless of the number of workers."""
     key = name.lower()
     cap = theorem_bound(key)
     if n < 1:

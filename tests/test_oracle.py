@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from itertools import chain
 
 import pytest
@@ -15,6 +17,7 @@ from uninorms import (
     is_associative,
     is_bisymmetric,
     is_nondecreasing,
+    is_symmetric,
     probe_open_questions,
     profile,
     theorem_bound,
@@ -22,6 +25,7 @@ from uninorms import (
     verify_theorem,
 )
 from uninorms import oracle
+from uninorms.core import _unchecked_operation
 from uninorms.oracle import _ASSOCIATIVITY, _BISYMMETRY
 
 from test_core import max_op, tables
@@ -232,11 +236,16 @@ class TestVerifyTheorem:
         assert report["candidates"] == 24
         assert report["symmetric_expected"] == 4
 
-    def test_sampled_claims(self):
-        for name in ("bis-a", "bis-b"):
-            report = verify_theorem(name, 5, seed=0)
-            assert report["ok"], report
-            assert report["candidates"] == 100000 and report["seed"] == 0
+    @pytest.mark.parametrize("name", ["bis-a", "bis-b"])
+    def test_sampled_claims(self, name):
+        # the seed-0 samples at n = 5, pinned, for any jobs
+        reports = [verify_theorem(name, 5, seed=0, jobs=jobs) for jobs in (1, 2)]
+        for report in reports:
+            report.pop("runtime_seconds")
+        assert reports[0] == reports[1] == {
+            "theorem": name, "n": 5, "candidates": 100000, "counterexamples": [],
+            "counterexample_count": 0, "ok": True, "stats": {"prefiltered": 0}, "seed": 0,
+            "summary": oracle._CATALOG[name][1]}
 
     @pytest.mark.parametrize("name,n,candidates,antecedent", [
         # the searched class: every table with a neutral element e, for each
@@ -505,7 +514,8 @@ class TestSearch:
             space = list(mirrored_product(n, values) if args.get("mirror")
                          else oracle._space(n, values))
             decided, found = oracle._drain(oracle._search(n, values, **args))
-            bad += found != [t for t in space if check(oracle._wrap(n, t))] or decided != len(space)
+            kept = [t for t in space if check(_unchecked_operation(n, t))]
+            bad += found != kept or decided != len(space)
         return bad
 
     def test_the_search_streams_its_tables(self):
@@ -513,7 +523,7 @@ class TestSearch:
         # returns the tables decided
         search = oracle._search(3, oracle._conservative, identities=(_ASSOCIATIVITY,))
         space = oracle.conservative_space(3)
-        kept = [t for t in space if is_associative(oracle._wrap(3, t))]
+        kept = [t for t in space if is_associative(_unchecked_operation(3, t))]
         assert next(search) == kept[0]
         rest = []
         with pytest.raises(StopIteration) as end:
@@ -541,7 +551,7 @@ class TestSearch:
 
 
 class TestSourceValidation:
-    """A space, a search or a sample chunk checks its cell values once, and
+    """A space, a search or a sample checks its cell values once, and
     the oracle builds its operations without checking each table again. So
     every table a source yields must pass the public constructor, and the
     unchecked operation must equal the checked one."""
@@ -552,7 +562,7 @@ class TestSourceValidation:
         count = 0
         for count, t in enumerate(tables, 1):
             checked = BinaryOperation(FiniteChain(n), t)
-            op = oracle._wrap(n, t)
+            op = _unchecked_operation(n, t)
             assert op == checked and hash(op) == hash(checked)
         return count
 
@@ -566,13 +576,6 @@ class TestSourceValidation:
         assert self._valid(n, chain.from_iterable(oracle._search(n, values, **args)
                                                   for values in domains(n))) > 0
 
-    @pytest.mark.parametrize("hypothesis", ["sampled-neutral", "sampled-symmetric"])
-    def test_sampled_tables_pass_the_constructor(self, hypothesis):
-        # a chunk at n = 5 keeps few or no tables with a neutral element, and
-        # no symmetric one; at n = 2 each hypothesis keeps some
-        self._valid(5, oracle._draw(hypothesis, 5, 0, 0))
-        assert self._valid(2, oracle._draw(hypothesis, 2, 0, 0)) > 0
-
     def test_operations_share_one_chain(self):
         ops = list(enumerate_conservative(3))
         assert all(op.chain is ops[0].chain for op in ops)
@@ -582,6 +585,7 @@ class TestSourceValidation:
         lambda n, values: iter(oracle._space(n, values)),
         lambda n, values: oracle._search(n, values),
         lambda n, values: oracle._search(n, values, mirror=True),
+        lambda n, values: iter(oracle._draw([(values, False)], n, 0)),
     ])
     def test_a_bad_cell_value_fails_before_any_table(self, source, bad):
         # the bad value sits last in the last cell's domain, so a source that
@@ -593,3 +597,51 @@ class TestSourceValidation:
             for t in source(n, values):
                 yielded.append(t)
         assert yielded == []
+
+
+class TestSample:
+    """The fixed-seed samples of bis-a and bis-b past n = 4, which draw the
+    tables they keep from the cell domains of the claims' searches, against
+    the classes filtered out of the whole space."""
+
+    # name: (the class as parts, the prefilter it stands for)
+    _CLASSES = {
+        "neutral": (oracle._neutral_parts, lambda op: find_neutral_element(op) is not None),
+        "symmetric": (oracle._symmetric_parts, is_symmetric),
+    }
+
+    @staticmethod
+    def _filtered(name, n) -> set:
+        prefilter = TestSample._CLASSES[name][1]
+        return {t for t in oracle.full_space(n) if prefilter(_unchecked_operation(n, t))}
+
+    @pytest.mark.parametrize("name,n,size", [
+        ("neutral", 2, 4), ("neutral", 3, 243), ("symmetric", 2, 8), ("symmetric", 3, 729)])
+    def test_class_sizes_are_the_exhaustive_counts(self, name, n, size):
+        parts = self._CLASSES[name][0](n)
+        assert sum(part[0] for part in oracle._sized(n, parts)) == size
+        assert len(self._filtered(name, n)) == size
+
+    @pytest.mark.parametrize("name", list(_CLASSES))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_kept_tables_meet_the_prefilter(self, name, n):
+        parts, prefilter = self._CLASSES[name]
+        tables = oracle._draw(parts(n), n, 0)
+        assert TestSourceValidation._valid(n, tables) > 0
+        assert all(prefilter(BinaryOperation(FiniteChain(n), t)) for t in tables)
+        # each draw is kept with probability |class| / n^(n^2): the number
+        # kept lies within five standard deviations of its mean
+        p = sum(part[0] for part in oracle._sized(n, parts(n))) / n ** (n * n)
+        mean = oracle.SAMPLE_SIZE * p
+        assert abs(len(tables) - mean) < 5 * (mean * (1 - p)) ** 0.5
+
+    @pytest.mark.parametrize("name", list(_CLASSES))
+    def test_kept_tables_cover_the_class(self, name):
+        tables = oracle._draw(self._CLASSES[name][0](2), 2, 0)
+        assert set(tables) == self._filtered(name, 2)
+
+    def test_samples_do_not_load_numpy(self):
+        code = ("import sys, uninorms; uninorms.verify_theorem('bis-a', 5); "
+                "uninorms.verify_theorem('bis-b', 5); assert 'numpy' not in sys.modules")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+        assert result.returncode == 0, result.stderr

@@ -12,6 +12,7 @@ from uninorms import oracle
 from uninorms.core import (
     BinaryOperation,
     ContourPartition,
+    _unchecked_operation,
     contour_partition,
     format_table,
     table_to_json_dict,
@@ -38,7 +39,7 @@ _SPACES = {
 @lru_cache(maxsize=None)
 def _operations(space: str) -> tuple[BinaryOperation, ...]:
     s = _SPACES[space]()
-    return tuple(oracle._wrap(len(t), t) for t in s)
+    return tuple(_unchecked_operation(len(t), t) for t in s)
 
 
 def _cells(op):
@@ -206,8 +207,8 @@ def test_prel34_check_matches_its_definition():
                     return ("candidate",), f"above the neutral element F({x},{y}) != max"
         return ("candidate",), None
 
-    ops = [oracle._wrap(4, t) for t in oracle._nondecreasing_neutral(4)[1]] + [
-        op for op in (oracle._wrap(3, t) for t in oracle.idempotent_space(3))
+    ops = [_unchecked_operation(4, t) for t in oracle._nondecreasing_neutral(4)[1]] + [
+        op for op in (_unchecked_operation(3, t) for t in oracle.idempotent_space(3))
         if ref_find_neutral_element(op)]
     results = [oracle._check_prel34(op) for op in ops]
     assert results == [ref(op) for op in ops]
