@@ -13,8 +13,9 @@ command stops, prints nothing more and exits 0.
 
 ``main(argv)`` may be called any number of times in one process, and each
 call is independent of the last. The argument parser is built on the first
-call and reused after that: the ``--jobs`` default of ``verify`` is the CPU
-count read at that first call. Help, usage errors and output go to the
+call and reused after that: the ``--jobs`` default of ``verify`` is the
+number of CPUs the process may run on (its CPU affinity), read at that
+first call. Help, usage errors and output go to the
 ``sys.stdout`` and ``sys.stderr`` in place at each call.
 """
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .generate import (
     enumerate_gspecs,
     generate_all_uninorms_gc,
 )
-from .oracle import enumerate_conservative, profile, theorem_names, verify_theorem
+from .oracle import _usable_cpus, enumerate_conservative, profile, theorem_names, verify_theorem
 from .render import render_contour_dot, render_contour_text, render_profile
 from .single_peaked import enumerate_single_peaked
 
@@ -112,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the fixed-seed samples, which only bis-a and bis-b "
                         "draw, at n = 5; non-negative (default 0)")
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
+    p.add_argument("--jobs", type=int, default=_usable_cpus(),
                    help="worker processes for the whole-space scans; the pruned "
                         "searches and the samples run in this process; the report "
                         "is identical for any value")
@@ -124,10 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     return parser
-
-
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
 
 
 def _open_output(path: str):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain, compress, product
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -71,6 +72,13 @@ class BinaryOperation:
 @cache
 def _shared_chain(n: int) -> FiniteChain:
     return FiniteChain(n)
+
+
+@cache
+def _cells(n: int) -> tuple[tuple[int, int], ...]:
+    """The points (x, y) of the n x n square in lexicographic order, which is
+    the order of the cells of a flattened table."""
+    return tuple(product(range(1, n + 1), repeat=2))
 
 
 def _unchecked_operation(n: int, table: tuple[tuple[int, ...], ...]) -> BinaryOperation:
@@ -175,16 +183,32 @@ def make_operation(chain: FiniteChain | int, table: Sequence[Sequence[int]]) -> 
 
 
 def contour_partition(op: BinaryOperation) -> ContourPartition:
-    """Group the points of the square into the level sets of the operation."""
+    """Group the points of the square into the level sets of the operation,
+    in one pass over the cells in lexicographic order, so that each class
+    comes out sorted."""
     n = op.n
     by_value: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    # cells arrive in lexicographic order, so each class is already sorted
-    for x, row in enumerate(op.table, 1):
-        for y, v in enumerate(row, 1):
-            by_value[v].append((x, y))
-    values = tuple(v for v in range(1, n + 1) if by_value[v])
-    classes = tuple(tuple(by_value[v]) for v in values)
-    return ContourPartition(op.chain, classes, values)
+    for p, v in zip(_cells(n), chain.from_iterable(op.table)):
+        by_value[v].append(p)
+    # by_value[0] stays empty: the values are 1..n
+    return ContourPartition(op.chain, tuple(map(tuple, filter(None, by_value))),
+                            tuple(compress(range(n + 1), by_value)))
+
+
+def isolated_points(op: BinaryOperation) -> tuple[tuple[int, int], ...]:
+    """Points connected to no other point: the singleton level sets, in the
+    order of their values. They are the cells of the values that occur
+    exactly once, so one count of the values finds them without building
+    the other level sets."""
+    n = op.n
+    flat = tuple(chain.from_iterable(op.table))
+    counts = [0] * (n + 1)
+    for v in flat:
+        counts[v] += 1
+    if 1 not in counts:
+        return ()  # no singleton level set
+    cells = _cells(n)
+    return tuple(cells[flat.index(v)] for v in compress(range(n + 1), map((1).__eq__, counts)))
 
 
 def restrict(op: BinaryOperation, subset: Iterable[int]) -> Restriction:

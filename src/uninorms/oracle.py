@@ -452,10 +452,19 @@ def _chunk_bounds(total: int, chunks: int = _SCAN_CHUNKS) -> list[tuple[int, int
     return bounds
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a cpuset container allows fewer CPUs than the host has), else
+    the host's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_count(jobs: int, tasks: int) -> int:
-    """Processes a scan starts: no more than it has chunks or the host has
-    cores, since a process pool starts every worker it is asked for."""
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+    """Processes a scan starts: no more than it has chunks or the process
+    may use CPUs, since a process pool starts every worker it is asked for."""
+    return max(1, min(jobs, tasks, _usable_cpus()))
 
 
 def _run_chunks(fn, tasks: list, jobs: int) -> list:

@@ -12,10 +12,11 @@ return the same (first) counterexample for a given table.
 """
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import chain, combinations, compress, permutations, repeat
+from operator import eq
 from typing import Iterator, NamedTuple, Optional
 
-from .core import BinaryOperation, contour_partition
+from .core import BinaryOperation, _cells, contour_partition, isolated_points
 
 
 def idempotency_witness(op: BinaryOperation) -> Optional[int]:
@@ -257,23 +258,24 @@ def find_neutral_via_sections(op: BinaryOperation) -> Optional[NeutralSections]:
     crossing point of the two sections is the neutral element.
 
     It reads the level sets, not the table: e qualifies when, for every x,
-    the level set of value x contains both (x, e) and (e, x)."""
+    the level set of value x contains both (x, e) and (e, x). The level sets
+    are read one at a time, for x = 1, 2, ..., each keeping the candidates e
+    that it holds both points of; the first level set that leaves no
+    candidate ends the test. A neutral element is unique, so at most one
+    candidate is left after the last level set."""
     n = op.n
-    classes = contour_partition(op).classes
-    if len(classes) < n:
-        return None  # some value x has no level set to hold (x, e)
-    # every value is taken, so classes[x - 1] is the level set of x
-    for e in range(1, n + 1):
-        if all((x, e) in level and (e, x) in level for x, level in enumerate(classes, 1)):
-            vertical = tuple((e, y) for y in range(1, n + 1))
-            horizontal = tuple((x, e) for x in range(1, n + 1))
-            return NeutralSections(e, vertical, horizontal)
-    return None
-
-
-def isolated_points(op: BinaryOperation) -> tuple[tuple[int, int], ...]:
-    """Points connected to no other point: the singleton level sets."""
-    return contour_partition(op).isolated()
+    cells = _cells(n)
+    flat = tuple(chain.from_iterable(op.table))
+    candidates = range(1, n + 1)
+    for x in range(1, n + 1):
+        level = tuple(compress(cells, map(eq, flat, repeat(x))))
+        candidates = [e for e in candidates if (x, e) in level and (e, x) in level]
+        if not candidates:
+            return None
+    (e,) = candidates
+    vertical = tuple((e, y) for y in range(1, n + 1))
+    horizontal = tuple((x, e) for x in range(1, n + 1))
+    return NeutralSections(e, vertical, horizontal)
 
 
 def find_neutral_conservative(op: BinaryOperation) -> Optional[int]:

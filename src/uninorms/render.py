@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .core import BinaryOperation, LinearOrder, contour_partition
+from .core import BinaryOperation, LinearOrder, contour_partition, isolated_points
 from .single_peaked import is_single_peaked_via_profile, local_maxima, profile_heights
 
 
@@ -20,7 +20,7 @@ def render_contour_text(
 ) -> str:
     """Character grid of the level sets, one cell per point of the square."""
     marked = set(witness) if witness is not None else set()
-    isolated = set(contour_partition(op).isolated())
+    isolated = set(isolated_points(op))
     cells = []  # cells[x-1][y-1]: the text of (x, y)
     for x, row in enumerate(op.table, 1):
         texts = []

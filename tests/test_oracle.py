@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from itertools import chain
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -262,6 +263,26 @@ class TestVerifyTheorem:
         assert report["stats"] == {"antecedent": antecedent}
         assert "seed" not in report
 
+    @pytest.mark.parametrize("name,n,candidates,stats", [
+        # the whole-space scans at their bounds: every full table (te3, tcons),
+        # every conservative one (ee) and every idempotent one (idis)
+        ("te3", 3, 3 ** 9, {"has_neutral": 243}),
+        ("ee", 4, 2 ** 12, {"has_neutral": 256}),
+        ("tcons", 3, 3 ** 9, {"conservative": 64}),
+        ("idis", 3, 3 ** 6, {}),
+    ])
+    def test_scan_claims_at_their_bounds(self, name, n, candidates, stats):
+        assert theorem_bound(name) == n
+        report = verify_theorem(name, n)
+        assert report["ok"], report
+        assert report["candidates"] == candidates
+        assert report["stats"] == stats
+
+    def test_gc_at_its_bound(self):
+        report = verify_theorem("gc", 12)
+        assert report["ok"], report
+        assert report["by_neutral"] == {str(e): comb(11, e - 1) for e in range(1, 13)}
+
     def test_corollary_sweep_at_its_bound(self):
         report = verify_theorem("corollary-mainb", 4, seed=0)
         assert report["ok"]
@@ -301,13 +322,29 @@ class TestVerifyTheorem:
     def test_worker_count_is_bounded(self, monkeypatch):
         # checked without starting a pool
         from uninorms import oracle
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 4)
         assert oracle._worker_count(5000, 64) == 4
         assert oracle._worker_count(2, 64) == 2
         assert oracle._worker_count(8, 1) == 1
         assert oracle._worker_count(1, 64) == 1
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
         assert oracle._worker_count(8, 64) == 1
+
+    def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
+        # a cpuset allows 2 of the host's 8 CPUs; no pool is started
+        from uninorms import oracle
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 8)
+        assert oracle._usable_cpus() == 2
+        assert oracle._worker_count(8, 64) == 2
+
+    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch):
+        from uninorms import oracle
+        monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+        assert oracle._usable_cpus() == 4
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+        assert oracle._usable_cpus() == 1
 
     @pytest.mark.parametrize("name", ["bis-a", "bis-b"])
     def test_samples_run_in_this_process(self, monkeypatch, name):

@@ -19,10 +19,13 @@ from uninorms.core import (
 )
 from uninorms.generate import generate_all_uninorms_gc
 from uninorms.properties import (
+    NeutralSections,
     conservativeness_witness,
     contour_conservativeness_witness,
     find_neutral_element,
+    find_neutral_via_sections,
     idempotency_witness,
+    isolated_points,
     monotonicity_witness,
     symmetry_witness,
 )
@@ -94,6 +97,24 @@ def ref_contour_partition(op):
     return ContourPartition(op.chain, tuple(tuple(sorted(by_value[v])) for v in values), values)
 
 
+def ref_find_neutral_via_sections(op):
+    """Every level set at once: e qualifies when the level set of each value
+    x holds both (x, e) and (e, x)."""
+    n = op.n
+    part = ref_contour_partition(op)
+    level = dict(zip(part.values, part.classes))
+    for e in range(1, n + 1):
+        if all((x, e) in level.get(x, ()) and (e, x) in level.get(x, ())
+               for x in range(1, n + 1)):
+            return NeutralSections(e, tuple((e, y) for y in range(1, n + 1)),
+                                   tuple((x, e) for x in range(1, n + 1)))
+    return None
+
+
+def ref_isolated_points(op):
+    return tuple(cls[0] for cls in ref_contour_partition(op).classes if len(cls) == 1)
+
+
 def ref_contour_conservativeness_witness(op):
     x = ref_idempotency_witness(op)
     if x is not None:
@@ -138,7 +159,7 @@ def ref_json_rows(op):
 def ref_render_contour_text(op, witness=None):
     n = op.n
     marked = set(witness or ())
-    isolated = {cls[0] for cls in ref_contour_partition(op).classes if len(cls) == 1}
+    isolated = set(ref_isolated_points(op))
     cells = {}
     for x, y in _cells(op):
         text = str(op(x, y)) + ("*" if (x, y) in isolated else "")
@@ -159,6 +180,8 @@ _KERNELS = {
                                          ref_contour_conservativeness_witness),
     "contour_partition": (lambda op: _classes_and_values(contour_partition(op)),
                           lambda op: _classes_and_values(ref_contour_partition(op))),
+    "find_neutral_via_sections": (find_neutral_via_sections, ref_find_neutral_via_sections),
+    "isolated_points": (isolated_points, ref_isolated_points),
     "closed_under_all_subsets": (lambda op: oracle._closed_under_all_subsets(op, op.n),
                                  lambda op: ref_closed_under_all_subsets(op, op.n)),
     "membership_traceable": (lambda op: oracle._membership_traceable(op, op.n),
@@ -189,6 +212,18 @@ def test_the_kernels_see_both_answers():
     ops = _operations("full3")[::50] + _operations("conservative4")[::20]
     for kernel, (fast, _) in _KERNELS.items():
         assert len({repr(fast(op)) for op in ops}) > 1, kernel
+
+
+_UNINORMS = [op for n in range(1, 9) for op in generate_all_uninorms_gc(n)]
+
+
+@pytest.mark.parametrize("kernel", ["contour_partition", "isolated_points"])
+def test_level_set_kernels_on_generated_uninorms(kernel):
+    # n up to 8, beyond the small spaces' sizes; each uninorm has one
+    # isolated point, its neutral element, so no table takes the early return
+    fast, ref = _KERNELS[kernel]
+    mismatches = [op.table for op in _UNINORMS if fast(op) != ref(op)]
+    assert mismatches == []
 
 
 def test_prel34_check_matches_its_definition():
@@ -253,9 +288,6 @@ def _changed(op):
                 yield BinaryOperation(op.chain, tuple(map(tuple, rows)))
                 for i, j in cells:
                     rows[i][j] = op.table[i][j]
-
-
-_UNINORMS = [op for n in range(1, 9) for op in generate_all_uninorms_gc(n)]
 
 
 @pytest.mark.parametrize("tables", ["full3", "conservative4", "uninorms", "uninorms-changed"])
