@@ -135,9 +135,6 @@ class ContourPartition:
     classes: tuple[tuple[tuple[int, int], ...], ...]
     values: tuple[int, ...]
 
-    def isolated(self) -> tuple[tuple[int, int], ...]:
-        return tuple(cls[0] for cls in self.classes if len(cls) == 1)
-
 
 @dataclass(frozen=True)
 class GSpec:

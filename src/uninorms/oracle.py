@@ -13,11 +13,18 @@ table is complete: an enumerator streams it, and a claim drains it for the
 tables and the number decided. A search runs in the calling process
 whatever the worker count; ``--jobs`` splits only the whole-space scans,
 into fixed index chunks whose results merge in order, so results do not
-depend on how many workers run the chunks. Sampling is left only for
-``bis-a`` and ``bis-b`` at n = 5, where no search of their classes fits a
-desk budget: each draws, in the calling process, the tables of its class
-that ``SAMPLE_SIZE`` uniform draws with one fixed seed keep. Part (c) of the
-open-questions probe is searched up to n = 4 and not run at n = 5.
+depend on how many workers run the chunks.
+
+A claim's hypothesis class is declared once, as its parts plus its
+constraints: disjoint (cell domains, mirror) parts, such as one per neutral
+element, each searched under the same ``_search`` keywords (identities,
+monotonicity). The claim's check then tests only the conclusion on the
+tables kept, and the tables decided are its candidates. Sampling is left
+only for ``bis-a`` and ``bis-b`` at n = 5, where no search of their classes
+fits a desk budget: each draws, in the calling process, the tables of its
+parts that ``SAMPLE_SIZE`` uniform draws with one fixed seed keep, and
+checks those that its constraints accept. Part (c) of the open-questions
+probe is searched up to n = 4 and not run at n = 5.
 
 Each source of tables, a space, a search or a sample, is validated once: it
 checks its cell domains (every value an int, not a bool, in 1..n) before it
@@ -46,7 +53,6 @@ from .core import (
     FiniteChain,
     LinearOrder,
     _unchecked_operation,
-    table_to_json_dict,
 )
 from .generate import (  # the gspec names stay here: bench/run.py's traced run wraps them
     _gspec_sources,
@@ -194,8 +200,13 @@ def full_space(n: int) -> TableSpace:
     return _space(n, _full(n))
 
 
+def _idempotent(values):
+    """``values`` with the diagonal fixed to F(x, x) = x."""
+    return lambda i, j: (i + 1,) if i == j else values(i, j)
+
+
 def idempotent_space(n: int) -> TableSpace:
-    return _space(n, lambda i, j: (i + 1,) if i == j else range(1, n + 1))
+    return _space(n, _idempotent(_full(n)))
 
 
 def _conservative(i: int, j: int) -> list[int]:
@@ -506,21 +517,33 @@ def _sweep(check, space: str, n: int, jobs: int = 1) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# fixed-seed samples
+# hypothesis classes and their fixed-seed samples
 #
 # A class is given as disjoint parts, each the (cell domains, mirror) of one
-# search. A uniform draw over all n^(n^2) tables lands in the class with
-# probability p = |class| / n^(n^2), and one that does is uniform on it. So a
-# sample runs SAMPLE_SIZE Bernoulli(p) trials, then draws each table it keeps
-# cell by cell, from a part picked in proportion to its size.
+# search, and the constraints (the _search keywords) that every part is
+# searched under. A uniform draw over all n^(n^2) tables lands in the parts
+# with probability p = |parts| / n^(n^2), and one that does is uniform on
+# them. So a sample runs SAMPLE_SIZE Bernoulli(p) trials, then draws each
+# table it keeps cell by cell, from a part picked in proportion to its size.
 
 def _neutral_parts(n: int) -> list:
     """The tables with neutral element e, for each e; no table has two."""
     return [(_neutral(n, e), False) for e in range(1, n + 1)]
 
 
+def _idempotent_neutral_parts(n: int) -> list:
+    """The idempotent tables with neutral element e, for each e."""
+    return [(_idempotent(values), False) for values, _ in _neutral_parts(n)]
+
+
 def _symmetric_parts(n: int) -> list:
     return [(_full(n), True)]
+
+
+def _searched(n: int, parts, **constraints) -> tuple[int, list]:
+    """(decided, tables) of a search of each of ``parts`` in turn."""
+    runs = [_drain(_search(n, values, mirror, **constraints)) for values, mirror in parts]
+    return sum(decided for decided, _ in runs), [t for _, found in runs for t in found]
 
 
 def _sized(n: int, parts) -> Iterator[tuple[int, list, list]]:
@@ -581,24 +604,21 @@ def _check_corollary_mainb(op: BinaryOperation):
 
 
 def _check_bis_a(op: BinaryOperation):
-    if find_neutral_element(op) is None or not is_bisymmetric(op):
-        return (), None
+    # the search yields bisymmetric tables with a neutral element only
     if not (is_associative(op) and is_symmetric(op)):
         return ("antecedent",), "bisymmetric with neutral element but not associative+symmetric"
     return ("antecedent",), None
 
 
 def _check_bis_b(op: BinaryOperation):
-    if not (is_associative(op) and is_symmetric(op)):
-        return (), None
+    # the search yields associative symmetric tables only
     if not is_bisymmetric(op):
         return ("antecedent",), "associative and symmetric but not bisymmetric"
     return ("antecedent",), None
 
 
 def _check_bis_c(op: BinaryOperation):
-    if not is_conservative(op) or not is_bisymmetric(op):
-        return (), None
+    # the search yields conservative bisymmetric tables only
     if not is_associative(op):
         return ("antecedent",), "conservative and bisymmetric but not associative"
     return ("antecedent",), None
@@ -617,7 +637,7 @@ def _check_ee(op: BinaryOperation):
         return (), f"conservative operation with {len(iso)} isolated points"
     if iso and iso[0][0] != iso[0][1]:
         return (), f"conservative operation with off-diagonal isolated point {iso[0]}"
-    via_iso = find_neutral_conservative(op)
+    via_iso = iso[0][0] if iso else None
     naive = find_neutral_element(op)
     if via_iso != naive:
         return (), f"isolated-point rule gives {via_iso}, definition gives {naive}"
@@ -699,9 +719,8 @@ def _check_main3(op: BinaryOperation):
 
 
 def _check_prel34(op: BinaryOperation):
-    if not is_idempotent(op):
-        return (), None
-    e = find_neutral_element(op)  # the search guarantees one
+    # the search yields idempotent nondecreasing tables with a neutral element only
+    e = find_neutral_element(op)
     for x, row in enumerate(op.table[:e], 1):
         for y, v in enumerate(row[:e], 1):
             if v != min(x, y):
@@ -747,44 +766,29 @@ def _report(name: str, n: int, candidates: int, counterexamples: list,
     return out
 
 
-def _scan(check, source, above4=None):
-    """Runner that tallies ``check`` over the tables of ``source``: a space
-    name, whose every table is a candidate, or a hypothesis ``source(n) ->
-    (candidates, tables)``. Past chain size 4 it tallies over a fixed-seed
-    sample of the class ``above4(n)`` instead, when one is given."""
+def _scan(check, parts, sampled: bool = False, **constraints):
+    """Runner that tallies ``check`` over a class: a space name, whose every
+    table is a candidate, or ``parts(n)``, searched under ``constraints``
+    (the ``_search`` keywords), whose tables decided are the candidates. A
+    sampled class is drawn past chain size 4 instead: the draws of its parts
+    that the constraints accept, each searched as a space of one table, are
+    tallied."""
     def run(name: str, n: int, seed: int, jobs: int) -> dict:
-        if above4 is not None and n > 4:
-            tables = _draw(above4(n), n, seed)
-            part = _tally(tables, check, n)
+        if isinstance(parts, str):
+            merged = _sweep(check, parts, n, jobs)
+            return _report(name, n, merged["checked"],
+                           merged["counterexamples"][:_MAX_COUNTEREXAMPLES], stats=merged["stats"])
+        if sampled and n > 4:
+            drawn = _draw(parts(n), n, seed)
+            kept = [t for t in drawn
+                    if _searched(n, [(lambda i, j: (t[i][j],), False)], **constraints)[1]]
+            part = _tally(kept, check, n)
             return _report(name, n, SAMPLE_SIZE, part["counterexamples"],
-                           stats={"prefiltered": len(tables), **part["stats"]}, seed=seed)
-        if callable(source):
-            candidates, tables = source(n)
-            part = _tally(tables, check, n)
-            return _report(name, n, candidates, part["counterexamples"], stats=part["stats"])
-        merged = _sweep(check, source, n, jobs)
-        return _report(name, n, merged["checked"],
-                       merged["counterexamples"][:_MAX_COUNTEREXAMPLES], stats=merged["stats"])
+                           stats={"prefiltered": len(drawn), **part["stats"]}, seed=seed)
+        candidates, tables = _searched(n, parts(n), **constraints)
+        part = _tally(tables, check, n)
+        return _report(name, n, candidates, part["counterexamples"], stats=part["stats"])
     return run
-
-
-def _axiom_tables(n: int) -> tuple[int, list]:
-    """The conservative, symmetric and nondecreasing tables."""
-    return _drain(_search(n, _conservative, mirror=True, nondecreasing=True))
-
-
-def _searched(n: int, parts, **constraints) -> tuple[int, list]:
-    """(decided, tables) of a search of each of ``parts``, (cell domains,
-    mirror) pairs, in turn."""
-    runs = [_drain(_search(n, values, mirror, **constraints)) for values, mirror in parts]
-    return sum(decided for decided, _ in runs), [t for _, found in runs for t in found]
-
-
-def _nondecreasing_neutral(n: int) -> tuple[int, list]:
-    """The nondecreasing tables with a neutral element. The claims that read
-    them hold on this class, so each of its tables is a candidate."""
-    tables = _searched(n, _neutral_parts(n), nondecreasing=True)[1]
-    return len(tables), tables
 
 
 def _compare_generated(n: int, found: list, generated: frozenset) -> list[dict]:
@@ -803,7 +807,7 @@ def _compare_generated(n: int, found: list, generated: frozenset) -> list[dict]:
 
 def _verify_main(name: str, n: int, seed: int, jobs: int) -> dict:
     generated = frozenset(op.table for op in generate_all_uninorms_gc(n))
-    decided, found = _axiom_tables(n)
+    decided, found = _searched(n, [(_conservative, True)], nondecreasing=True)
     cex = _compare_generated(n, found, generated)
     return _report(name, n, decided, cex[:_MAX_COUNTEREXAMPLES],
                    brute_force_count=len(found), generated_count=len(generated))
@@ -829,7 +833,7 @@ def _verify_gc(name: str, n: int, seed: int, jobs: int) -> dict:
         total += 1
         e = find_neutral_conservative(op)
         if e is None:
-            cex.append({"table": table_to_json_dict(op)["table"],
+            cex.append({"table": _json_rows(op.table),
                         "reason": "generated table has no neutral element"})
             continue
         by_neutral[e] = by_neutral.get(e, 0) + 1
@@ -921,24 +925,19 @@ _CATALOG = {
     "main": (6, "the three axioms characterize the generated uninorms", _verify_main),
     "main2n": (12, "there are exactly 2^(n-1) idempotent discrete uninorms", _verify_main2n),
     "main3": (5, "the three axioms imply associativity and a neutral element",
-              _scan(_check_main3, _axiom_tables)),
+              _scan(_check_main3, lambda n: [(_conservative, True)], nondecreasing=True)),
     "gc": (12, "uninorms with neutral element e number C(n-1, e-1)", _verify_gc),
     "qob": (12, "single-peaked maxima, contour algorithm, and patchwork agree", _verify_qob),
     "mainb": (5, "bisymmetry + monotonicity + neutral element = discrete uninorm",
-              _scan(_check_mainb, _nondecreasing_neutral)),
+              _scan(_check_mainb, _neutral_parts, nondecreasing=True)),
     "corollary-mainb": (5, "adding idempotency or conservativeness yields the idempotent ones",
-                        _scan(_check_corollary_mainb, _nondecreasing_neutral)),
+                        _scan(_check_corollary_mainb, _neutral_parts, nondecreasing=True)),
     "bis-a": (5, "bisymmetric with neutral element implies associative and symmetric",
-              _scan(_check_bis_a,
-                    lambda n: _searched(n, _neutral_parts(n), identities=(_BISYMMETRY,)),
-                    above4=_neutral_parts)),
+              _scan(_check_bis_a, _neutral_parts, sampled=True, identities=(_BISYMMETRY,))),
     "bis-b": (5, "associative and symmetric implies bisymmetric",
-              _scan(_check_bis_b,
-                    lambda n: _searched(n, _symmetric_parts(n), identities=(_ASSOCIATIVITY,)),
-                    above4=_symmetric_parts)),
+              _scan(_check_bis_b, _symmetric_parts, sampled=True, identities=(_ASSOCIATIVITY,))),
     "bis-c": (5, "bisymmetric and conservative implies associative",
-              _scan(_check_bis_c,
-                    lambda n: _drain(_search(n, _conservative, identities=(_BISYMMETRY,))))),
+              _scan(_check_bis_c, lambda n: [(_conservative, False)], identities=(_BISYMMETRY,))),
     "idis": (3, "isolated points of idempotent operations lie on the diagonal",
              _scan(_check_idis, "idempotent")),
     "ee": (4, "for conservative operations, neutral = unique isolated diagonal point",
@@ -951,7 +950,7 @@ _CATALOG = {
                _scan(_check_testca, "conservative")),
     "rec8n": (10, "there are n(n-1)(n-2) test rectangles, C(n,3) up to symmetry", _verify_rec8n),
     "prel34": (5, "idempotent nondecreasing with neutral e: min below e, max above",
-               _scan(_check_prel34, _nondecreasing_neutral)),
+               _scan(_check_prel34, _idempotent_neutral_parts, nondecreasing=True)),
     "consj": (3, "conservativeness = closure under every subset", _scan(_check_consj, "full")),
     "open-questions": (5, "empirical probes, no assertion made", _verify_open_questions),
 }

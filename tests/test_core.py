@@ -10,6 +10,7 @@ from uninorms import (
     contour_partition,
     fixture,
     format_table,
+    isolated_points,
     make_operation,
     parse_order,
     parse_table,
@@ -82,7 +83,7 @@ class TestContourPartition:
         part = contour_partition(fixture("fig1"))
         assert part.values == (1, 2)
         assert part.classes == (((1, 2),), ((1, 1), (2, 1), (2, 2)))
-        assert part.isolated() == ((1, 2),)
+        assert isolated_points(fixture("fig1")) == ((1, 2),)
 
     def test_one_element_chain(self):
         part = contour_partition(make_operation(1, [[1]]))
@@ -94,7 +95,7 @@ class TestContourPartition:
         assert part.classes[0] == ((1, 1), (1, 2), (1, 3), (2, 1), (3, 1))
         assert part.classes[1] == ((2, 2), (2, 3), (3, 2))
         assert part.classes[2] == ((3, 3),)
-        assert part.isolated() == ((3, 3),)
+        assert isolated_points(min_op(3)) == ((3, 3),)
 
     @given(tables)
     def test_partition_invariants(self, op):

@@ -15,8 +15,10 @@ from uninorms import (
     enumerate_nondecreasing,
     find_neutral_element,
     fixture,
+    generate_all_uninorms_gc,
     is_associative,
     is_bisymmetric,
+    is_idempotent,
     is_nondecreasing,
     is_symmetric,
     probe_open_questions,
@@ -103,16 +105,16 @@ class TestEnumerators:
         assert [op.table for op in enumerate_nondecreasing(n)] == [
             op.table for op in enumerate_all_operations(n) if is_nondecreasing(op)]
 
-    @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 13), (4, 346)])
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 11), (4, 164), (5, 7195)])
     def test_nondecreasing_with_neutral_source(self, n, count):
-        # the source of mainb, corollary-mainb and prel34 against filtering
-        # every nondecreasing table
-        from uninorms.oracle import _nondecreasing_neutral
-        candidates, built = _nondecreasing_neutral(n)
-        filtered = [op.table for op in enumerate_nondecreasing(n)
-                    if find_neutral_element(op) is not None]
-        assert candidates == len(built) == count
-        assert sorted(built) == filtered
+        # prel34's class, idempotent + neutral + nondecreasing, against the
+        # idempotent tables of mainb's class, neutral + nondecreasing, in order
+        decided, found = oracle._searched(n, oracle._idempotent_neutral_parts(n),
+                                          nondecreasing=True)
+        wider = oracle._searched(n, oracle._neutral_parts(n), nondecreasing=True)[1]
+        assert found == [t for t in wider if is_idempotent(_unchecked_operation(n, t))]
+        assert len(found) == count
+        assert decided == n * n ** ((n - 1) * (n - 2))
 
 
 class TestProfile:
@@ -172,11 +174,11 @@ class TestVerifyTheorem:
             verify_theorem("main", 0)
 
     def test_mainb_exhaustive_statistics(self):
-        # the sweep visits every nondecreasing table with a neutral element
-        # (13 of them); both sides of the characterization pick out the
-        # same 6 tables
+        # the search for each neutral element e decides its 3^4 tables and
+        # keeps the nondecreasing ones (13 in all); both sides of the
+        # characterization pick out the same 6 tables
         report = verify_theorem("mainb", 3)
-        assert report["candidates"] == 13
+        assert report["candidates"] == 3 * 3 ** 4
         assert report["stats"] == {
             "candidate": 13, "bisymmetric_side": 6, "uninorm_side": 6,
         }
@@ -184,20 +186,20 @@ class TestVerifyTheorem:
     def test_mainb_sweep_at_its_bound(self):
         report = verify_theorem("mainb", 4, seed=0)
         assert report["ok"]
-        assert report["candidates"] == 346
+        assert report["candidates"] == 4 * 4 ** 9
         assert report["stats"] == {
             "candidate": 346, "bisymmetric_side": 22, "uninorm_side": 22,
         }
         report = verify_theorem("mainb", 5)
         assert report["ok"]
-        assert report["candidates"] == 40088
+        assert report["candidates"] == 5 * 5 ** 16
         assert report["stats"] == {
             "candidate": 40088, "bisymmetric_side": 92, "uninorm_side": 92,
         }
 
     def test_corollary_statistics(self):
         report = verify_theorem("corollary-mainb", 3)
-        assert report["candidates"] == 13
+        assert report["candidates"] == 3 * 3 ** 4
         assert report["stats"] == {"candidate": 13, "idempotent_uninorms": 4}
 
     def test_testca_statistics(self):
@@ -286,19 +288,22 @@ class TestVerifyTheorem:
     def test_corollary_sweep_at_its_bound(self):
         report = verify_theorem("corollary-mainb", 4, seed=0)
         assert report["ok"]
-        assert report["candidates"] == 346
+        assert report["candidates"] == 4 * 4 ** 9
         assert report["stats"] == {"candidate": 346, "idempotent_uninorms": 8}
         report = verify_theorem("corollary-mainb", 5)
         assert report["ok"]
-        assert report["candidates"] == 40088
+        assert report["candidates"] == 5 * 5 ** 16
         assert report["stats"] == {"candidate": 40088, "idempotent_uninorms": 16}
 
     def test_prel34_at_its_bound(self):
-        # idempotent among the nondecreasing tables with a neutral element
-        assert verify_theorem("prel34", 4)["stats"] == {"candidate": 164}
+        # the search for each neutral element e decides the n^((n-1)(n-2))
+        # tables with the diagonal fixed, and keeps the nondecreasing ones
+        report = verify_theorem("prel34", 4)
+        assert report["candidates"] == 4 * 4 ** 6
+        assert report["stats"] == {"candidate": 164}
         report = verify_theorem("prel34", 5)
         assert report["ok"]
-        assert report["candidates"] == 40088
+        assert report["candidates"] == 5 * 5 ** 12
         assert report["stats"] == {"candidate": 7195}
 
     def test_main3_at_its_bound(self):
@@ -528,6 +533,9 @@ class TestSearch:
         "neutral-nondecreasing": (
             lambda n: [oracle._neutral(n, e) for e in range(1, n + 1)],
             {"nondecreasing": True}, is_nondecreasing, 3),
+        "idempotent-neutral-nondecreasing": (
+            lambda n: [values for values, _ in oracle._idempotent_neutral_parts(n)],
+            {"nondecreasing": True}, is_nondecreasing, 3),
         "symmetric-associative": (
             lambda n: [oracle._full(n)], {"mirror": True, "identities": (_ASSOCIATIVITY,)},
             is_associative, 3),
@@ -676,6 +684,31 @@ class TestSample:
     def test_kept_tables_cover_the_class(self, name):
         tables = oracle._draw(self._CLASSES[name][0](2), 2, 0)
         assert set(tables) == self._filtered(name, 2)
+
+    @pytest.mark.parametrize("name,antecedent", [("bis-a", is_bisymmetric),
+                                                 ("bis-b", is_associative)])
+    def test_sampled_claims_check_the_draws_their_class_accepts(self, monkeypatch, name,
+                                                                antecedent):
+        # the draws: the uninorms at n = 5, which meet both classes, and each
+        # with one off-diagonal pair moved, still symmetric with the same
+        # neutral element, of which some meet neither class
+        uninorms = [op.table for op in generate_all_uninorms_gc(5)]
+
+        def moved(t):
+            e = find_neutral_element(_unchecked_operation(5, t))
+            a, b = [x for x in range(5) if x != e - 1][:2]
+            rows = [list(row) for row in t]
+            rows[a][b] = rows[b][a] = rows[a][b] % 5 + 1
+            return tuple(map(tuple, rows))
+
+        drawn = uninorms + [moved(t) for t in uninorms]
+        monkeypatch.setattr(oracle, "_draw", lambda parts, n, seed: drawn)
+        accepted = sum(antecedent(_unchecked_operation(5, t)) for t in drawn)
+        assert 16 <= accepted < len(drawn)
+        report = verify_theorem(name, 5, seed=7)
+        assert report["ok"], report
+        assert report["candidates"] == oracle.SAMPLE_SIZE
+        assert report["stats"] == {"prefiltered": len(drawn), "antecedent": accepted}
 
     def test_samples_do_not_load_numpy(self):
         code = ("import sys, uninorms; uninorms.verify_theorem('bis-a', 5); "
