@@ -11,8 +11,6 @@ exactly one ordering.
 """
 from __future__ import annotations
 
-from itertools import compress
-from operator import ne
 from typing import Iterator, Optional
 
 from .core import BinaryOperation, FiniteChain, LinearOrder, _unchecked_operation
@@ -44,7 +42,20 @@ def single_peakedness_witness(order: LinearOrder) -> Optional[tuple[int, int, in
 
 
 def is_single_peaked(order: LinearOrder) -> bool:
-    return single_peakedness_witness(order) is None
+    """One walk up the ordering: every prefix must be an interval [lo, hi] of
+    the chain, so each next element is lo - 1 or hi + 1. A prefix with a gap
+    leaves out some b between two of its elements, and b is ranked after
+    both; so the walk fails exactly when the witness finds a triple."""
+    seq = order.seq
+    lo = hi = seq[0]
+    for x in seq[1:]:
+        if x == lo - 1:
+            lo = x
+        elif x == hi + 1:
+            hi = x
+        else:
+            return False
+    return True
 
 
 def profile_heights(order: LinearOrder) -> tuple[int, ...]:
@@ -107,8 +118,8 @@ def order_to_uninorm(order: LinearOrder) -> BinaryOperation:
     F(x, y) is whichever of x, y is ranked higher. Rejects orderings that are
     not single-peaked, since the resulting maximum would not be nondecreasing.
     """
-    w = single_peakedness_witness(order)
-    if w is not None:
+    if not is_single_peaked(order):
+        w = single_peakedness_witness(order)
         raise ValueError(f"ordering is not single-peaked, witness triple {w}")
     n = order.n
     # Row x is the identity row with x written at the elements ranked at or
@@ -135,9 +146,8 @@ def uninorm_to_order(op: BinaryOperation) -> LinearOrder:
     """
     t = op.table
     cols = tuple(zip(*t))
-    # whole-row tests first; once the table equals its transpose, sorted rows
-    # mean sorted columns too
-    if not (t == cols and _rows_sorted(t) and _rows_conservative(t)):
+    # once the table equals its transpose, sorted rows mean sorted columns too
+    if not (t == cols and _rows_sorted(t) and conservativeness_witness(op) is None):
         # name every property that fails, as the witnesses decide it
         problems = []
         if conservativeness_witness(op) is not None:
@@ -161,12 +171,6 @@ def uninorm_to_order(op: BinaryOperation) -> LinearOrder:
 
 def _rows_sorted(t: tuple[tuple[int, ...], ...]) -> bool:
     return all(list(row) == sorted(row) for row in t)
-
-
-def _rows_conservative(t: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether in each row x every entry other than y is x."""
-    ids = range(1, len(t) + 1)
-    return all(set(compress(row, map(ne, row, ids))) <= {x} for x, row in enumerate(t, 1))
 
 
 def _positions(order: LinearOrder) -> dict[int, int]:

@@ -20,6 +20,8 @@ from uninorms.core import (
 from uninorms.generate import generate_all_uninorms_gc
 from uninorms.properties import (
     NeutralSections,
+    associativity_witness,
+    bisymmetry_witness,
     conservativeness_witness,
     contour_conservativeness_witness,
     find_neutral_element,
@@ -78,6 +80,28 @@ def ref_monotonicity_witness(op):
             return ((x, y), (x + 1, y))
         if y < n and op(x, y) > op(x, y + 1):
             return ((x, y), (x, y + 1))
+    return None
+
+
+def ref_associativity_witness(op):
+    rng = range(1, op.n + 1)
+    for x in rng:
+        for y in rng:
+            for z in rng:
+                if op(op(x, y), z) != op(x, op(y, z)):
+                    return (x, y, z)
+    return None
+
+
+def ref_bisymmetry_witness(op):
+    # every quadruple, u <= y included
+    rng = range(1, op.n + 1)
+    for x in rng:
+        for y in rng:
+            for u in rng:
+                for v in rng:
+                    if op(op(x, y), op(u, v)) != op(op(x, u), op(y, v)):
+                        return (x, y, u, v)
     return None
 
 
@@ -175,6 +199,8 @@ _KERNELS = {
     "conservativeness_witness": (conservativeness_witness, ref_conservativeness_witness),
     "symmetry_witness": (symmetry_witness, ref_symmetry_witness),
     "monotonicity_witness": (monotonicity_witness, ref_monotonicity_witness),
+    "associativity_witness": (associativity_witness, ref_associativity_witness),
+    "bisymmetry_witness": (bisymmetry_witness, ref_bisymmetry_witness),
     "find_neutral_element": (find_neutral_element, ref_find_neutral_element),
     "contour_conservativeness_witness": (contour_conservativeness_witness,
                                          ref_contour_conservativeness_witness),
@@ -289,6 +315,22 @@ def _changed(op):
                 yield BinaryOperation(op.chain, tuple(map(tuple, rows)))
                 for i, j in cells:
                     rows[i][j] = op.table[i][j]
+
+
+@pytest.mark.parametrize("kernel", ["associativity_witness", "bisymmetry_witness"])
+def test_identity_kernels_on_generated_uninorms_and_their_changes(kernel):
+    # every generated uninorm for n <= 6 holds both identities; each with one
+    # cell changed (or a cell and its mirror image) mostly fails them, with
+    # first witnesses past x = 1 and, for bisymmetry, with u far above y
+    fast, ref = _KERNELS[kernel]
+    uninorms = [op for op in _UNINORMS if op.n <= 6]
+    ops = uninorms + [changed for op in uninorms for changed in _changed(op)]
+    got = [fast(op) for op in ops]
+    assert got == [ref(op) for op in ops]
+    witnesses = [w for w in got if w is not None]
+    assert None in got and max(w[0] for w in witnesses) >= 5
+    if kernel == "bisymmetry_witness":
+        assert max(u - y for _, y, u, _ in witnesses) >= 4
 
 
 @pytest.mark.parametrize("tables", ["full3", "conservative4", "uninorms", "uninorms-changed"])

@@ -66,6 +66,15 @@ class TestRecognition:
         for seq in permutations(range(1, n + 1)):
             assert single_peakedness_witness(order(*seq)) == definitional_witness(order(*seq))
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_walk_matches_the_witness(self, n):
+        # is_single_peaked walks the ordering once instead of asking for a
+        # triple; the witness it must agree with is pinned by the test above
+        verdicts = [is_single_peaked(order(*seq)) for seq in permutations(range(1, n + 1))]
+        assert verdicts == [single_peakedness_witness(order(*seq)) is None
+                            for seq in permutations(range(1, n + 1))]
+        assert sum(verdicts) == 2 ** (n - 1)
+
     def test_known_single_peaked(self):
         assert is_single_peaked(order(2, 3, 4, 1, 5))
 
