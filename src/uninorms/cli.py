@@ -114,9 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="seed of the fixed-seed samples, which only bis-a and bis-b "
                         "draw, at n = 5; non-negative (default 0)")
     p.add_argument("--jobs", type=int, default=_usable_cpus(),
-                   help="worker processes for the whole-space scans; the pruned "
-                        "searches and the samples run in this process; the report "
-                        "is identical for any value")
+                   help="worker processes for the whole-space scans, one index "
+                        "range each, at most one per usable CPU; the pruned searches "
+                        "and the samples run in this process; the report is "
+                        "identical for any value")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("count", help="closed-form uninorm counts")

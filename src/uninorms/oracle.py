@@ -12,19 +12,21 @@ associative ones). The search yields each table it keeps as soon as the
 table is complete: an enumerator streams it, and a claim drains it for the
 tables and the number decided. A search runs in the calling process
 whatever the worker count; ``--jobs`` splits only the whole-space scans,
-into fixed index chunks whose results merge in order, so results do not
-depend on how many workers run the chunks.
+one contiguous index range per worker, whose results merge in range order,
+so every report is the one a single process makes.
 
 A claim's hypothesis class is declared once, as its parts plus its
 constraints: disjoint (cell domains, mirror) parts, such as one per neutral
 element, each searched under the same ``_search`` keywords (identities,
 monotonicity). The claim's check then tests only the conclusion on the
-tables kept, and the tables decided are its candidates. Sampling is left
-only for ``bis-a`` and ``bis-b`` at n = 5, where no search of their classes
-fits a desk budget: each draws, in the calling process, the tables of its
-parts that ``SAMPLE_SIZE`` uniform draws with one fixed seed keep, and
-checks those that its constraints accept. Part (c) of the open-questions
-probe is searched up to n = 4 and not run at n = 5.
+tables kept, and the tables decided are its candidates. A class with no
+constraints has nothing to prune: it is the whole space of its one part,
+and every table of it is scanned. Sampling is left only for ``bis-a`` and
+``bis-b`` at n = 5, where no search of their classes fits a desk budget:
+each draws, in the calling process, the tables of its parts that
+``SAMPLE_SIZE`` uniform draws with one fixed seed keep, and checks those
+that its constraints accept. Part (c) of the open-questions probe is
+searched up to n = 4 and not run at n = 5.
 
 Each source of tables, a space, a search or a sample, is validated once: it
 checks its cell domains (every value an int, not a bool, in 1..n) before it
@@ -85,13 +87,12 @@ from .single_peaked import (
 )
 
 SAMPLE_SIZE = 100_000
-_SCAN_CHUNKS = 64
 _MAX_COUNTEREXAMPLES = 20
 
 
 @dataclass(frozen=True)
 class PropertyProfile:
-    """All property flags of one operation, computed in a single pass."""
+    """All property flags of one operation, each from its own checker."""
 
     idempotent: bool
     conservative: bool
@@ -203,10 +204,6 @@ def full_space(n: int) -> TableSpace:
 def _idempotent(values):
     """``values`` with the diagonal fixed to F(x, x) = x."""
     return lambda i, j: (i + 1,) if i == j else values(i, j)
-
-
-def idempotent_space(n: int) -> TableSpace:
-    return _space(n, _idempotent(_full(n)))
 
 
 def _conservative(i: int, j: int) -> list[int]:
@@ -429,8 +426,9 @@ def _feasible(n: int, cap: int, what: str, growth: str) -> None:
 # the scan driver
 #
 # A check takes an operation and returns (stats flags to count, failure
-# reason or None). A whole space is scanned in fixed index chunks, merged in
-# order, which keeps every report independent of the number of workers.
+# reason or None). A whole space is scanned in one contiguous index range per
+# worker, merged in range order, which keeps every report independent of the
+# number of workers.
 
 def _tally(tables, check, n: int) -> dict:
     stats: dict[str, int] = {}
@@ -451,18 +449,6 @@ def _json_rows(t) -> list[list[int]]:
     return [list(line) for line in zip(*t)]
 
 
-def _chunk_bounds(total: int, chunks: int = _SCAN_CHUNKS) -> list[tuple[int, int]]:
-    k = max(1, min(chunks, total))
-    step, rem = divmod(total, k)
-    bounds = []
-    start = 0
-    for i in range(k):
-        stop = start + step + (1 if i < rem else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
     has one (a cpuset container allows fewer CPUs than the host has), else
@@ -472,18 +458,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(jobs: int, tasks: int) -> int:
-    """Processes a scan starts: no more than it has chunks or the process
+def _worker_count(jobs: int, tables: int) -> int:
+    """Processes a scan starts: no more than it has tables or the process
     may use CPUs, since a process pool starts every worker it is asked for."""
-    return max(1, min(jobs, tasks, _usable_cpus()))
-
-
-def _run_chunks(fn, tasks: list, jobs: int) -> list:
-    workers = _worker_count(jobs, len(tasks))
-    if workers == 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    return max(1, min(jobs, tables, _usable_cpus()))
 
 
 def _merge_scans(parts: list[dict]) -> dict:
@@ -496,24 +474,31 @@ def _merge_scans(parts: list[dict]) -> dict:
     return merged
 
 
-_SPACES = {
-    "full": full_space,
-    "idempotent": idempotent_space,
-    "conservative": conservative_space,
-}
+def _ranges(size: int, workers: int) -> list[tuple[int, int]]:
+    """``range(size)`` cut into one contiguous index range per worker."""
+    cuts = [size * k // workers for k in range(workers + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
-def _scan_chunk(args) -> dict:
-    check, n, space, start, stop = args
-    return _tally(_SPACES[space](n).iter_range(start, stop), check, n)
+def _scan_range(args) -> dict:
+    check, n, rows, start, stop = args
+    return _tally(TableSpace(rows).iter_range(start, stop), check, n)
 
 
-def _sweep(check, space: str, n: int, jobs: int = 1) -> dict:
-    """Tally ``check`` over the tables of ``space``; counterexamples are
-    capped per chunk, not in total."""
-    tasks = [(check, n, space, start, stop)
-             for start, stop in _chunk_bounds(_SPACES[space](n).size)]
-    return _merge_scans(_run_chunks(_scan_chunk, tasks, jobs))
+def _sweep(check, space: TableSpace, n: int, jobs: int = 1) -> dict:
+    """Tally ``check`` over the tables of ``space``: in this process with one
+    worker, else one index range per worker, each rebuilt there from the
+    space's rows. The ranges merge in index order and the first
+    ``_MAX_COUNTEREXAMPLES`` counterexamples are kept, so the result is the
+    one-worker result."""
+    workers = _worker_count(jobs, space.size)
+    if workers == 1:
+        return _tally(space, check, n)
+    tasks = [(check, n, space.rows, start, stop) for start, stop in _ranges(space.size, workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        merged = _merge_scans(list(pool.map(_scan_range, tasks)))
+    del merged["counterexamples"][_MAX_COUNTEREXAMPLES:]
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +506,8 @@ def _sweep(check, space: str, n: int, jobs: int = 1) -> dict:
 #
 # A class is given as disjoint parts, each the (cell domains, mirror) of one
 # search, and the constraints (the _search keywords) that every part is
-# searched under. A uniform draw over all n^(n^2) tables lands in the parts
+# searched under; a class with no constraints is one part, scanned whole by
+# _sweep. A uniform draw over all n^(n^2) tables lands in the parts
 # with probability p = |parts| / n^(n^2), and one that does is uniform on
 # them. So a sample runs SAMPLE_SIZE Bernoulli(p) trials, then draws each
 # table it keeps cell by cell, from a part picked in proportion to its size.
@@ -767,17 +753,19 @@ def _report(name: str, n: int, candidates: int, counterexamples: list,
 
 
 def _scan(check, parts, sampled: bool = False, **constraints):
-    """Runner that tallies ``check`` over a class: a space name, whose every
-    table is a candidate, or ``parts(n)``, searched under ``constraints``
-    (the ``_search`` keywords), whose tables decided are the candidates. A
-    sampled class is drawn past chain size 4 instead: the draws of its parts
-    that the constraints accept, each searched as a space of one table, are
-    tallied."""
+    """Runner that tallies ``check`` over the class ``parts(n)``, searched
+    under ``constraints`` (the ``_search`` keywords), whose tables decided are
+    the candidates. A class with no constraints is the whole space of its one
+    unmirrored part instead, swept over ``jobs`` workers. A sampled class is
+    drawn past chain size 4: the draws of its parts that the constraints
+    accept, each searched as a space of one table, are tallied."""
     def run(name: str, n: int, seed: int, jobs: int) -> dict:
-        if isinstance(parts, str):
-            merged = _sweep(check, parts, n, jobs)
-            return _report(name, n, merged["checked"],
-                           merged["counterexamples"][:_MAX_COUNTEREXAMPLES], stats=merged["stats"])
+        if not constraints:
+            [(values, mirror)] = parts(n)
+            assert not mirror, "a scanned space has no mirrored part"
+            merged = _sweep(check, _space(n, values), n, jobs)
+            return _report(name, n, merged["checked"], merged["counterexamples"],
+                           stats=merged["stats"])
         if sampled and n > 4:
             drawn = _draw(parts(n), n, seed)
             kept = [t for t in drawn
@@ -941,19 +929,20 @@ _CATALOG = {
     "bis-c": (5, "bisymmetric and conservative implies associative",
               _scan(_check_bis_c, lambda n: [(_conservative, False)], identities=(_BISYMMETRY,))),
     "idis": (3, "isolated points of idempotent operations lie on the diagonal",
-             _scan(_check_idis, "idempotent")),
+             _scan(_check_idis, lambda n: [(_idempotent(_full(n)), False)])),
     "ee": (4, "for conservative operations, neutral = unique isolated diagonal point",
-           _scan(_check_ee, "conservative")),
+           _scan(_check_ee, lambda n: [(_conservative, False)])),
     "tcons": (3, "conservativeness = idempotency + diagonal-connected contour",
-              _scan(_check_tcons, "full")),
+              _scan(_check_tcons, lambda n: [(_full(n), False)])),
     "te3": (3, "neutral elements = identity sections crossing on the diagonal",
-            _scan(_check_te3, "full")),
+            _scan(_check_te3, lambda n: [(_full(n), False)])),
     "testca": (4, "rectangle test decides associativity of conservative operations",
-               _scan(_check_testca, "conservative")),
+               _scan(_check_testca, lambda n: [(_conservative, False)])),
     "rec8n": (10, "there are n(n-1)(n-2) test rectangles, C(n,3) up to symmetry", _verify_rec8n),
     "prel34": (5, "idempotent nondecreasing with neutral e: min below e, max above",
                _scan(_check_prel34, _idempotent_neutral_parts, nondecreasing=True)),
-    "consj": (3, "conservativeness = closure under every subset", _scan(_check_consj, "full")),
+    "consj": (3, "conservativeness = closure under every subset",
+              _scan(_check_consj, lambda n: [(_full(n), False)])),
     "open-questions": (5, "empirical probes, no assertion made", _verify_open_questions),
 }
 
@@ -974,10 +963,14 @@ def verify_theorem(name: str, n: int, seed: int = 0, jobs: int = 1) -> dict:
     or a pruned search, except those of ``bis-a`` and ``bis-b`` at n = 5,
     which are fixed-seed samples drawn in this process from the cell domains
     of the class: ``seed`` reaches only those. ``jobs`` splits only the
-    whole-space scans over worker processes. The report is deterministic for
-    fixed (name, n, seed), regardless of the number of workers."""
+    whole-space scans, one index range per worker process. The report is
+    deterministic for fixed (name, n, seed), regardless of the number of
+    workers. ``n``, ``seed`` and ``jobs`` must be ints, not bools."""
     key = name.lower()
     cap = theorem_bound(key)
+    for arg, value in (("n", n), ("seed", seed), ("jobs", jobs)):
+        if type(value) is not int:
+            raise ValueError(f"{arg} must be an integer, got {value!r}")
     if n < 1:
         raise ValueError("n must be positive")
     if n > cap:

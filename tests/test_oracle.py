@@ -33,6 +33,30 @@ from uninorms.oracle import _ASSOCIATIVITY, _BISYMMETRY
 
 from test_core import max_op, tables
 
+# the whole spaces the catalog scans
+_WHOLE_SPACES = {
+    "full": oracle.full_space,
+    "idempotent": lambda n: oracle._space(n, oracle._idempotent(oracle._full(n))),
+    "conservative": oracle.conservative_space,
+}
+
+
+def _fails_unless_idempotent(op):
+    # fails on all but 729 of the 19,683 tables of full_space(3)
+    if is_idempotent(op):
+        return ("idempotent",), None
+    return ("failed",), "not idempotent"
+
+
+def _fails_on_equal_rows(op):
+    # fails on the 27 tables of full_space(3) whose rows are all equal, nine
+    # in each third of the index range, so the first 20 failures come from
+    # all three ranges of a three-worker scan
+    t = op.table
+    if t.count(t[0]) == len(t):
+        return ("failed",), f"every row is {t[0]}"
+    return (), None
+
 
 def mirrored_product(n, values):
     """Every choice of values(i, j) for the cells (i, j >= i), row by row,
@@ -172,6 +196,26 @@ class TestVerifyTheorem:
             verify_theorem("tcons", 4)
         with pytest.raises(ValueError):
             verify_theorem("main", 0)
+
+    @pytest.mark.parametrize("name,n,kwargs,message", [
+        ("rec8n", True, {}, "n must be an integer, got True"),
+        ("main", True, {}, "n must be an integer, got True"),
+        ("idis", 2.0, {}, "n must be an integer, got 2.0"),
+        ("main2n", 3, {"jobs": 1.5}, "jobs must be an integer, got 1.5"),
+        ("te3", 2, {"jobs": True}, "jobs must be an integer, got True"),
+        ("bis-a", 5, {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("bis-b", 5, {"seed": False}, "seed must be an integer, got False"),
+    ])
+    def test_arguments_must_be_ints(self, monkeypatch, name, n, kwargs, message):
+        # each is rejected with one line before the claim's runner starts
+        def no_run(*args):
+            raise AssertionError("the claim ran")
+
+        bound, summary, _ = oracle._CATALOG[name]
+        monkeypatch.setitem(oracle._CATALOG, name, (bound, summary, no_run))
+        with pytest.raises(ValueError) as error:
+            verify_theorem(name, n, **kwargs)
+        assert str(error.value) == message
 
     def test_mainb_exhaustive_statistics(self):
         # the search for each neutral element e decides its 3^4 tables and
@@ -324,6 +368,32 @@ class TestVerifyTheorem:
             b.pop("runtime_seconds")
             assert a == b, (name, n)
 
+    @pytest.mark.parametrize("check", [_fails_unless_idempotent, _fails_on_equal_rows])
+    def test_counterexamples_do_not_depend_on_the_worker_count(self, monkeypatch, check):
+        # three usable CPUs, so that jobs = 3 really starts three ranges
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
+        real_pool = oracle.ProcessPoolExecutor
+        started = []
+
+        def pool(max_workers):
+            started.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", pool)
+        run = oracle._scan(check, lambda n: [(oracle._full(n), False)])
+        reports = [run("probe", 3, 0, jobs) for jobs in (1, 2, 3)]
+        assert started == [2, 3]
+        assert reports[0] == reports[1] == reports[2]
+        failures = []
+        for t in oracle.full_space(3):
+            _, bad = check(_unchecked_operation(3, t))
+            if bad is not None:
+                failures.append({"table": oracle._json_rows(t), "reason": bad})
+        assert len(failures) > oracle._MAX_COUNTEREXAMPLES
+        assert reports[0]["counterexamples"] == failures[:oracle._MAX_COUNTEREXAMPLES]
+        assert reports[0]["stats"]["failed"] == len(failures)
+        assert reports[0]["candidates"] == 3 ** 9 and not reports[0]["ok"]
+
     def test_worker_count_is_bounded(self, monkeypatch):
         # checked without starting a pool
         from uninorms import oracle
@@ -468,7 +538,7 @@ class TestScanEngineCrossValidation:
     def _spaces():
         # the scanned spaces, and the two mirrored searches
         from uninorms import oracle
-        return {**oracle._SPACES,
+        return {**_WHOLE_SPACES,
                 "conservative-symmetric": lambda n: oracle._search(n, oracle._conservative,
                                                                    mirror=True),
                 "symmetric": lambda n: oracle._search(n, oracle._full(n), mirror=True)}
@@ -486,7 +556,7 @@ class TestScanEngineCrossValidation:
 
     def test_spaces_decode_matches_iteration(self):
         for name, n in (("full", 2), ("conservative", 3), ("idempotent", 2)):
-            space = oracle._SPACES[name](n)
+            space = _WHOLE_SPACES[name](n)
             listed = list(space)
             assert len(listed) == space.size
             assert len(set(listed)) == space.size
@@ -496,13 +566,13 @@ class TestScanEngineCrossValidation:
                     space.decode(index)
 
     @pytest.mark.parametrize("name,n", [("full", 3), ("idempotent", 3), ("conservative", 4)])
-    def test_chunked_iteration_matches(self, name, n):
-        from uninorms.oracle import _chunk_bounds
-        space = oracle._SPACES[name](n)
+    def test_worker_ranges_concatenate_to_the_space(self, name, n):
+        space = _WHOLE_SPACES[name](n)
         listed = list(space)
-        chunks = [t for first, stop in _chunk_bounds(space.size)
-                  for t in space.iter_range(first, stop)]
-        assert chunks == listed
+        for workers in (1, 2, 3, 4):
+            ranges = [t for first, stop in oracle._ranges(space.size, workers)
+                      for t in space.iter_range(first, stop)]
+            assert ranges == listed
         cut = space.size * 2 // 5 + 1
         assert list(space.iter_range(0, cut)) + list(space.iter_range(cut, space.size)) == listed
 
@@ -613,7 +683,7 @@ class TestSourceValidation:
 
     @pytest.mark.parametrize("name,n", [("full", 3), ("idempotent", 3), ("conservative", 4)])
     def test_space_tables_pass_the_constructor(self, name, n):
-        assert self._valid(n, oracle._SPACES[name](n)) == oracle._SPACES[name](n).size
+        assert self._valid(n, _WHOLE_SPACES[name](n)) == _WHOLE_SPACES[name](n).size
 
     @pytest.mark.parametrize("name", list(TestSearch._CLASSES))
     def test_search_tables_pass_the_constructor(self, name):

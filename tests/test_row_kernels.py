@@ -36,7 +36,7 @@ from uninorms.single_peaked import enumerate_single_peaked, order_to_uninorm, un
 
 _SPACES = {
     "full3": lambda: oracle.full_space(3),
-    "idempotent3": lambda: oracle.idempotent_space(3),
+    "idempotent3": lambda: oracle._space(3, oracle._idempotent(oracle._full(3))),
     "conservative4": lambda: oracle.conservative_space(4),
 }
 
@@ -270,7 +270,7 @@ def test_prel34_check_matches_its_definition():
     # element at n = 3, nondecreasing or not, so that some fail
     found = oracle._searched(4, oracle._idempotent_neutral_parts(4), nondecreasing=True)[1]
     ops = [_unchecked_operation(4, t) for t in found] + [
-        op for op in (_unchecked_operation(3, t) for t in oracle.idempotent_space(3))
+        op for op in (_unchecked_operation(3, t) for t in _SPACES["idempotent3"]())
         if ref_find_neutral_element(op)]
     results = [oracle._check_prel34(op) for op in ops]
     assert results == [ref(op) for op in ops]
