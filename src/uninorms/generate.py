@@ -28,12 +28,15 @@ from .core import BinaryOperation, FiniteChain, GSpec, _unchecked_operation
 def generate_all_uninorms_gc(n: int) -> Iterator[BinaryOperation]:
     """Every idempotent discrete uninorm on the n-chain, built shell by shell.
 
-    The shells are laid into one working table. Along each path from a
-    neutral element to a leaf the shells partition the square, so every cell
-    is written exactly once before the leaf snapshots the table, and no
-    shell needs undoing when the search backs up. Every entry is the shell's
-    new element, one of the cell's two arguments, so the snapshots are
-    wrapped without a check.
+    The shells are laid into one working table, depth first with an explicit
+    stack of the intervals still to visit, so the depth is not bounded by
+    the recursion limit. Each interval's shell is laid when it is popped,
+    after the whole subtree of its elder sibling, which writes only outside
+    their parent's square. Along each path from a neutral element to a leaf
+    the shells partition the square, so every cell is written exactly once
+    before the leaf snapshots the table, and no shell needs undoing when the
+    search backs up. Every entry is the shell's new element, one of the
+    cell's two arguments, so the snapshots are wrapped without a check.
 
     The emission order matches enumerate_single_peaked: start elements
     ascending, downward extension explored before upward.
@@ -41,21 +44,19 @@ def generate_all_uninorms_gc(n: int) -> Iterator[BinaryOperation]:
     if n < 1:
         raise ValueError("n must be positive")
     table = [[0] * n for _ in range(n)]
-
-    def rec(lo: int, hi: int) -> Iterator[BinaryOperation]:
+    # (a, lo, hi): the interval [lo, hi] reached by adding a, whose shell of
+    # new points has the common value a; a neutral element e is [e, e]
+    stack = [(e, e, e) for e in range(n, 0, -1)]
+    while stack:
+        a, lo, hi = stack.pop()
+        _lay_shell(table, a, lo, hi)
         if hi - lo + 1 == n:
             yield _unchecked_operation(n, tuple(map(tuple, table)))
-            return
-        if lo > 1:
-            _lay_shell(table, lo - 1, lo - 1, hi)
-            yield from rec(lo - 1, hi)
+            continue
         if hi < n:
-            _lay_shell(table, hi + 1, lo, hi + 1)
-            yield from rec(lo, hi + 1)
-
-    for e in range(1, n + 1):
-        table[e - 1][e - 1] = e
-        yield from rec(e, e)
+            stack.append((hi + 1, lo, hi + 1))
+        if lo > 1:
+            stack.append((lo - 1, lo - 1, hi))
 
 
 def _lay_shell(table: list[list[int]], a: int, lo: int, hi: int) -> None:

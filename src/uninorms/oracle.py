@@ -16,16 +16,16 @@ one contiguous index range per worker, whose results merge in range order,
 so every report is the one a single process makes.
 
 A claim's hypothesis class is declared once, as its parts plus its
-constraints: disjoint (cell domains, mirror) parts, such as one per neutral
-element, each searched under the same ``_search`` keywords (identities,
-monotonicity). The claim's check then tests only the conclusion on the
-tables kept, and the tables decided are its candidates. A class with no
-constraints has nothing to prune: it is the whole space of its one part,
-and every table of it is scanned. Sampling is left only for ``bis-a`` and
-``bis-b`` at n = 5, where no search of their classes fits a desk budget:
-each draws, in the calling process, the tables of its parts that
-``SAMPLE_SIZE`` uniform draws with one fixed seed keep, and checks those
-that its constraints accept. Part (c) of the open-questions probe is
+constraints: disjoint parts, each the cell domains of one search, such as
+one per neutral element, all searched under the same ``_search`` keywords
+(mirror, identities, monotonicity). The claim's check then tests only the
+conclusion on the tables kept, and the tables decided are its candidates.
+A class with no constraints has nothing to prune: it is the whole space of
+its one part, and every table of it is scanned. Sampling is left only for
+``bis-a`` and ``bis-b`` at n = 5, where no search of their classes fits a
+desk budget: each draws, in the calling process, the tables of its parts
+that ``SAMPLE_SIZE`` uniform draws with one fixed seed keep, and checks
+those that its constraints accept. Part (c) of the open-questions probe is
 searched up to n = 4 and not run at n = 5.
 
 Each source of tables, a space, a search or a sample, is validated once: it
@@ -35,8 +35,9 @@ makes a table. The scan driver then wraps each table once with
 check and shares one chain per n, and hands the operation to the check.
 
 ``verify_theorem`` is the single entry point: it looks up a named claim in
-the catalog, scans or searches the relevant candidate class, and reports the
-number of candidates checked plus any counterexamples found (there must be
+the catalog, whose runner scans or searches the relevant candidate class,
+and builds the report of every claim: the number of candidates checked plus
+the first ``_MAX_COUNTEREXAMPLES`` counterexamples found (there must be
 none).
 """
 from __future__ import annotations
@@ -488,63 +489,59 @@ def _scan_range(args) -> dict:
 def _sweep(check, space: TableSpace, n: int, jobs: int = 1) -> dict:
     """Tally ``check`` over the tables of ``space``: in this process with one
     worker, else one index range per worker, each rebuilt there from the
-    space's rows. The ranges merge in index order and the first
-    ``_MAX_COUNTEREXAMPLES`` counterexamples are kept, so the result is the
-    one-worker result."""
+    space's rows. The ranges merge in index order, each with the first
+    counterexamples of its range, so the first ``_MAX_COUNTEREXAMPLES`` of
+    the merge, all that a report lists, are the one-worker result's."""
     workers = _worker_count(jobs, space.size)
     if workers == 1:
         return _tally(space, check, n)
     tasks = [(check, n, space.rows, start, stop) for start, stop in _ranges(space.size, workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        merged = _merge_scans(list(pool.map(_scan_range, tasks)))
-    del merged["counterexamples"][_MAX_COUNTEREXAMPLES:]
-    return merged
+        return _merge_scans(list(pool.map(_scan_range, tasks)))
 
 
 # ---------------------------------------------------------------------------
 # hypothesis classes and their fixed-seed samples
 #
-# A class is given as disjoint parts, each the (cell domains, mirror) of one
-# search, and the constraints (the _search keywords) that every part is
-# searched under; a class with no constraints is one part, scanned whole by
-# _sweep. A uniform draw over all n^(n^2) tables lands in the parts
+# A class is given as disjoint parts, each the cell domains of one search,
+# and the constraints (the _search keywords, mirror among them) that every
+# part is searched under; a class with no constraints is one part, scanned
+# whole by _sweep. A uniform draw over all n^(n^2) tables lands in the parts
 # with probability p = |parts| / n^(n^2), and one that does is uniform on
 # them. So a sample runs SAMPLE_SIZE Bernoulli(p) trials, then draws each
 # table it keeps cell by cell, from a part picked in proportion to its size.
 
 def _neutral_parts(n: int) -> list:
     """The tables with neutral element e, for each e; no table has two."""
-    return [(_neutral(n, e), False) for e in range(1, n + 1)]
+    return [_neutral(n, e) for e in range(1, n + 1)]
 
 
 def _idempotent_neutral_parts(n: int) -> list:
     """The idempotent tables with neutral element e, for each e."""
-    return [(_idempotent(values), False) for values, _ in _neutral_parts(n)]
-
-
-def _symmetric_parts(n: int) -> list:
-    return [(_full(n), True)]
+    return [_idempotent(values) for values in _neutral_parts(n)]
 
 
 def _searched(n: int, parts, **constraints) -> tuple[int, list]:
     """(decided, tables) of a search of each of ``parts`` in turn."""
-    runs = [_drain(_search(n, values, mirror, **constraints)) for values, mirror in parts]
+    runs = [_drain(_search(n, values, **constraints)) for values in parts]
     return sum(decided for decided, _ in runs), [t for _, found in runs for t in found]
 
 
-def _sized(n: int, parts) -> Iterator[tuple[int, list, list]]:
-    """(size, cells, domains) of each of ``parts``, its domains checked."""
-    for values, mirror in parts:
-        cells = [(i, j) for i in range(n) for j in range(i if mirror else 0, n)]
+def _sized(n: int, parts, mirror: bool) -> Iterator[tuple[int, list, list]]:
+    """(size, cells, domains) of each of ``parts``, its domains checked; the
+    cells of mirrored parts are those with j >= i."""
+    cells = [(i, j) for i in range(n) for j in range(i if mirror else 0, n)]
+    for values in parts:
         domains = _domains(n, values, cells)
         yield prod(map(len, domains)), cells, domains
 
 
-def _draw(parts, n: int, seed: int) -> list:
-    """The tables of ``parts`` that SAMPLE_SIZE uniform draws over all
-    n^(n^2) tables keep, each drawn by one random.Random(seed)."""
+def _draw(parts, n: int, seed: int, mirror: bool) -> list:
+    """The tables of ``parts`` (mirrored, if asked) that SAMPLE_SIZE uniform
+    draws over all n^(n^2) tables keep, each drawn by one
+    random.Random(seed)."""
     rng = random.Random(seed)
-    sized = list(_sized(n, parts))
+    sized = list(_sized(n, parts, mirror))
     sizes = [size for size, _, _ in sized]
     p = sum(sizes) / n ** (n * n)
     kept = sum(rng.random() < p for _ in range(SAMPLE_SIZE))
@@ -737,45 +734,32 @@ def _check_probe_c(op: BinaryOperation):
 
 # ---------------------------------------------------------------------------
 # theorem runners
-
-def _report(name: str, n: int, candidates: int, counterexamples: list,
-            **extras) -> dict:
-    out = {
-        "theorem": name,
-        "n": n,
-        "candidates": candidates,
-        "counterexamples": counterexamples,
-        "counterexample_count": len(counterexamples),
-        "ok": not counterexamples,
-    }
-    out.update(extras)
-    return out
-
+#
+# A runner takes (n, seed, jobs) and returns (candidates, counterexamples,
+# extras); verify_theorem builds the report from them.
 
 def _scan(check, parts, sampled: bool = False, **constraints):
-    """Runner that tallies ``check`` over the class ``parts(n)``, searched
-    under ``constraints`` (the ``_search`` keywords), whose tables decided are
-    the candidates. A class with no constraints is the whole space of its one
-    unmirrored part instead, swept over ``jobs`` workers. A sampled class is
-    drawn past chain size 4: the draws of its parts that the constraints
-    accept, each searched as a space of one table, are tallied."""
-    def run(name: str, n: int, seed: int, jobs: int) -> dict:
+    """Runner that tallies ``check`` over the class ``parts(n)``, each part
+    the cell domains of one search under ``constraints`` (the ``_search``
+    keywords, ``mirror`` among them), whose tables decided are the
+    candidates. A class with no constraints is the whole space of its one
+    part instead, swept over ``jobs`` workers. A sampled class is drawn past
+    chain size 4: the draws of its parts that the constraints accept, each
+    searched as a space of one table, are tallied."""
+    def run(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
         if not constraints:
-            [(values, mirror)] = parts(n)
-            assert not mirror, "a scanned space has no mirrored part"
+            [values] = parts(n)
             merged = _sweep(check, _space(n, values), n, jobs)
-            return _report(name, n, merged["checked"], merged["counterexamples"],
-                           stats=merged["stats"])
+            return merged["checked"], merged["counterexamples"], {"stats": merged["stats"]}
         if sampled and n > 4:
-            drawn = _draw(parts(n), n, seed)
-            kept = [t for t in drawn
-                    if _searched(n, [(lambda i, j: (t[i][j],), False)], **constraints)[1]]
+            drawn = _draw(parts(n), n, seed, constraints.get("mirror", False))
+            kept = [t for t in drawn if _searched(n, [lambda i, j: (t[i][j],)], **constraints)[1]]
             part = _tally(kept, check, n)
-            return _report(name, n, SAMPLE_SIZE, part["counterexamples"],
-                           stats={"prefiltered": len(drawn), **part["stats"]}, seed=seed)
+            return SAMPLE_SIZE, part["counterexamples"], {
+                "stats": {"prefiltered": len(drawn), **part["stats"]}, "seed": seed}
         candidates, tables = _searched(n, parts(n), **constraints)
         part = _tally(tables, check, n)
-        return _report(name, n, candidates, part["counterexamples"], stats=part["stats"])
+        return candidates, part["counterexamples"], {"stats": part["stats"]}
     return run
 
 
@@ -793,15 +777,14 @@ def _compare_generated(n: int, found: list, generated: frozenset) -> list[dict]:
     return cex
 
 
-def _verify_main(name: str, n: int, seed: int, jobs: int) -> dict:
+def _verify_main(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
     generated = frozenset(op.table for op in generate_all_uninorms_gc(n))
-    decided, found = _searched(n, [(_conservative, True)], nondecreasing=True)
-    cex = _compare_generated(n, found, generated)
-    return _report(name, n, decided, cex[:_MAX_COUNTEREXAMPLES],
-                   brute_force_count=len(found), generated_count=len(generated))
+    decided, found = _searched(n, [_conservative], mirror=True, nondecreasing=True)
+    return decided, _compare_generated(n, found, generated), {
+        "brute_force_count": len(found), "generated_count": len(generated)}
 
 
-def _verify_main2n(name: str, n: int, seed: int, jobs: int) -> dict:
+def _verify_main2n(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
     tables = [op.table for op in generate_all_uninorms_gc(n)]
     distinct = len(set(tables))
     expected = 2 ** (n - 1)
@@ -809,11 +792,10 @@ def _verify_main2n(name: str, n: int, seed: int, jobs: int) -> dict:
     if len(tables) != expected or distinct != expected:
         cex.append({"reason": f"generator yielded {len(tables)} tables "
                               f"({distinct} distinct), expected {expected}"})
-    return _report(name, n, len(tables), cex,
-                   generated=len(tables), distinct=distinct, expected=expected)
+    return len(tables), cex, {"generated": len(tables), "distinct": distinct, "expected": expected}
 
 
-def _verify_gc(name: str, n: int, seed: int, jobs: int) -> dict:
+def _verify_gc(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
     by_neutral: dict[int, int] = {}
     total = 0
     cex = []
@@ -831,11 +813,10 @@ def _verify_gc(name: str, n: int, seed: int, jobs: int) -> dict:
         got = by_neutral.get(e, 0)
         if got != want:
             cex.append({"reason": f"neutral element {e}: {got} tables, expected {want}"})
-    return _report(name, n, total, cex[:_MAX_COUNTEREXAMPLES],
-                   by_neutral={str(e): c for e, c in sorted(by_neutral.items())})
+    return total, cex, {"by_neutral": {str(e): c for e, c in sorted(by_neutral.items())}}
 
 
-def _verify_qob(name: str, n: int, seed: int, jobs: int) -> dict:
+def _verify_qob(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
     cex = []
     orders = list(enumerate_single_peaked(n))
     from_orders = set()
@@ -873,10 +854,10 @@ def _verify_qob(name: str, n: int, seed: int, jobs: int) -> dict:
         extras["factorial_filtered"] = len(filtered)
         if sorted(o.seq for o in orders) != sorted(filtered):
             cex.append({"reason": "incremental enumeration disagrees with the n! filter"})
-    return _report(name, n, len(orders), cex[:_MAX_COUNTEREXAMPLES], **extras)
+    return len(orders), cex, extras
 
 
-def _verify_rec8n(name: str, n: int, seed: int, jobs: int) -> dict:
+def _verify_rec8n(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
     cex = []
     seen = set()
     count = 0
@@ -901,21 +882,20 @@ def _verify_rec8n(name: str, n: int, seed: int, jobs: int) -> dict:
     if sym_count != sym_expected:
         cex.append({"reason": f"symmetric iterator yielded {sym_count}, "
                               f"expected {sym_expected}"})
-    return _report(name, n, count, cex[:_MAX_COUNTEREXAMPLES],
-                   expected=expected, symmetric_expected=sym_expected)
+    return count, cex, {"expected": expected, "symmetric_expected": sym_expected}
 
 
-def _verify_open_questions(name: str, n: int, seed: int, jobs: int) -> dict:
+def _verify_open_questions(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
     report = probe_open_questions(n)
-    return _report(name, n, report["a"]["conservative"], [], probe=report)
+    return report["a"]["conservative"], [], {"probe": report}
 
 
-# name: (max n, summary, runner(name, n, seed, jobs) -> report)
+# name: (max n, summary, runner(n, seed, jobs) -> (candidates, counterexamples, extras))
 _CATALOG = {
     "main": (6, "the three axioms characterize the generated uninorms", _verify_main),
     "main2n": (12, "there are exactly 2^(n-1) idempotent discrete uninorms", _verify_main2n),
     "main3": (5, "the three axioms imply associativity and a neutral element",
-              _scan(_check_main3, lambda n: [(_conservative, True)], nondecreasing=True)),
+              _scan(_check_main3, lambda n: [_conservative], mirror=True, nondecreasing=True)),
     "gc": (12, "uninorms with neutral element e number C(n-1, e-1)", _verify_gc),
     "qob": (12, "single-peaked maxima, contour algorithm, and patchwork agree", _verify_qob),
     "mainb": (5, "bisymmetry + monotonicity + neutral element = discrete uninorm",
@@ -925,24 +905,25 @@ _CATALOG = {
     "bis-a": (5, "bisymmetric with neutral element implies associative and symmetric",
               _scan(_check_bis_a, _neutral_parts, sampled=True, identities=(_BISYMMETRY,))),
     "bis-b": (5, "associative and symmetric implies bisymmetric",
-              _scan(_check_bis_b, _symmetric_parts, sampled=True, identities=(_ASSOCIATIVITY,))),
+              _scan(_check_bis_b, lambda n: [_full(n)], sampled=True, mirror=True,
+                    identities=(_ASSOCIATIVITY,))),
     "bis-c": (5, "bisymmetric and conservative implies associative",
-              _scan(_check_bis_c, lambda n: [(_conservative, False)], identities=(_BISYMMETRY,))),
+              _scan(_check_bis_c, lambda n: [_conservative], identities=(_BISYMMETRY,))),
     "idis": (3, "isolated points of idempotent operations lie on the diagonal",
-             _scan(_check_idis, lambda n: [(_idempotent(_full(n)), False)])),
+             _scan(_check_idis, lambda n: [_idempotent(_full(n))])),
     "ee": (4, "for conservative operations, neutral = unique isolated diagonal point",
-           _scan(_check_ee, lambda n: [(_conservative, False)])),
+           _scan(_check_ee, lambda n: [_conservative])),
     "tcons": (3, "conservativeness = idempotency + diagonal-connected contour",
-              _scan(_check_tcons, lambda n: [(_full(n), False)])),
+              _scan(_check_tcons, lambda n: [_full(n)])),
     "te3": (3, "neutral elements = identity sections crossing on the diagonal",
-            _scan(_check_te3, lambda n: [(_full(n), False)])),
+            _scan(_check_te3, lambda n: [_full(n)])),
     "testca": (4, "rectangle test decides associativity of conservative operations",
-               _scan(_check_testca, lambda n: [(_conservative, False)])),
+               _scan(_check_testca, lambda n: [_conservative])),
     "rec8n": (10, "there are n(n-1)(n-2) test rectangles, C(n,3) up to symmetry", _verify_rec8n),
     "prel34": (5, "idempotent nondecreasing with neutral e: min below e, max above",
                _scan(_check_prel34, _idempotent_neutral_parts, nondecreasing=True)),
     "consj": (3, "conservativeness = closure under every subset",
-              _scan(_check_consj, lambda n: [(_full(n), False)])),
+              _scan(_check_consj, lambda n: [_full(n)])),
     "open-questions": (5, "empirical probes, no assertion made", _verify_open_questions),
 }
 
@@ -959,13 +940,18 @@ def theorem_bound(name: str) -> int:
 
 def verify_theorem(name: str, n: int, seed: int = 0, jobs: int = 1) -> dict:
     """Check one named claim at chain size n and report candidates checked
-    plus any counterexamples. Every class is decided exhaustively, by a scan
-    or a pruned search, except those of ``bis-a`` and ``bis-b`` at n = 5,
-    which are fixed-seed samples drawn in this process from the cell domains
-    of the class: ``seed`` reaches only those. ``jobs`` splits only the
-    whole-space scans, one index range per worker process. The report is
-    deterministic for fixed (name, n, seed), regardless of the number of
-    workers. ``n``, ``seed`` and ``jobs`` must be ints, not bools."""
+    plus the first ``_MAX_COUNTEREXAMPLES`` counterexamples, which
+    ``counterexample_count`` counts; ``ok`` is true only if there are none.
+    This is the one place a report is built, for every claim. Every class is
+    decided exhaustively, by a scan or a pruned search, except those of
+    ``bis-a`` and ``bis-b`` at n = 5, which are fixed-seed samples drawn in
+    this process from the cell domains of the class: ``seed`` reaches only
+    those. ``jobs`` splits only the whole-space scans, one index range per
+    worker process. The report is deterministic for fixed (name, n, seed),
+    regardless of the number of workers. ``name`` must be a str, and ``n``,
+    ``seed`` and ``jobs`` ints, not bools."""
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {name!r}")
     key = name.lower()
     cap = theorem_bound(key)
     for arg, value in (("n", n), ("seed", seed), ("jobs", jobs)):
@@ -977,18 +963,23 @@ def verify_theorem(name: str, n: int, seed: int = 0, jobs: int = 1) -> dict:
         raise ValueError(f"claim {key!r} is only checkable up to n = {cap}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    _validate_seed(seed)
-    _, summary, runner = _CATALOG[key]
-    start = time.perf_counter()
-    report = runner(key, n, seed, jobs)
-    report["summary"] = summary
-    report["runtime_seconds"] = time.perf_counter() - start
-    return report
-
-
-def _validate_seed(seed: int) -> None:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    _, summary, runner = _CATALOG[key]
+    start = time.perf_counter()
+    candidates, counterexamples, extras = runner(n, seed, jobs)
+    listed = counterexamples[:_MAX_COUNTEREXAMPLES]
+    return {
+        "theorem": key,
+        "n": n,
+        "candidates": candidates,
+        "counterexamples": listed,
+        "counterexample_count": len(listed),
+        "ok": not listed,
+        **extras,
+        "summary": summary,
+        "runtime_seconds": time.perf_counter() - start,
+    }
 
 
 def probe_open_questions(n: int) -> dict:

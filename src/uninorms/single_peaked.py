@@ -11,6 +11,7 @@ exactly one ordering.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterator, Optional
 
 from .core import BinaryOperation, FiniteChain, LinearOrder, _unchecked_operation
@@ -99,17 +100,22 @@ def enumerate_single_peaked(n: int) -> Iterator[LinearOrder]:
 
 
 def _extend_interval(n: int) -> Iterator[tuple[int, ...]]:
-    def rec(lo: int, hi: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            yield prefix
-            return
-        if lo > 1:
-            yield from rec(lo - 1, hi, prefix + (lo - 1,))
-        if hi < n:
-            yield from rec(lo, hi + 1, prefix + (hi + 1,))
-
+    # From start the walk takes start - 1 steps down and n - start up, so a
+    # walk is the set of its downward steps among the n - 1; the
+    # lexicographic order of those sets tries each step down before up.
     for start in range(1, n + 1):
-        yield from rec(start, start, (start,))
+        for downs in combinations(range(n - 1), start - 1):
+            steps = set(downs)
+            lo = hi = start
+            seq = [start]
+            for s in range(n - 1):
+                if s in steps:
+                    lo -= 1
+                    seq.append(lo)
+                else:
+                    hi += 1
+                    seq.append(hi)
+            yield tuple(seq)
 
 
 def order_to_uninorm(order: LinearOrder) -> BinaryOperation:

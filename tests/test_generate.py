@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -70,6 +72,14 @@ class TestContourAlgorithm:
             assert is_nondecreasing(op)
             assert is_associative(op)
             assert find_neutral_element(op) is not None
+
+    def test_first_table_past_the_recursion_limit(self):
+        # the walk goes one shell deeper per element; its first leaf grows
+        # the interval up from 1, which lays the maximum
+        n = 1200
+        assert n > sys.getrecursionlimit()
+        first = next(generate_all_uninorms_gc(n))
+        assert first.table == tuple((x,) * x + tuple(range(x + 1, n + 1)) for x in range(1, n + 1))
 
     def test_emission_order_mirrors_the_order_enumerator(self):
         for n in range(1, 7):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -217,6 +218,15 @@ class TestVerifyTheorem:
             verify_theorem(name, n, **kwargs)
         assert str(error.value) == message
 
+    @pytest.mark.parametrize("name,message", [
+        (None, "name must be a string, got None"),
+        (5, "name must be a string, got 5"),
+    ])
+    def test_name_must_be_a_string(self, name, message):
+        with pytest.raises(ValueError) as error:
+            verify_theorem(name, 3)
+        assert str(error.value) == message
+
     def test_mainb_exhaustive_statistics(self):
         # the search for each neutral element e decides its 3^4 tables and
         # keeps the nondecreasing ones (13 in all); both sides of the
@@ -380,8 +390,11 @@ class TestVerifyTheorem:
             return real_pool(max_workers=max_workers)
 
         monkeypatch.setattr(oracle, "ProcessPoolExecutor", pool)
-        run = oracle._scan(check, lambda n: [(oracle._full(n), False)])
-        reports = [run("probe", 3, 0, jobs) for jobs in (1, 2, 3)]
+        monkeypatch.setitem(oracle._CATALOG, "probe",
+                            (3, "probe", oracle._scan(check, lambda n: [oracle._full(n)])))
+        reports = [verify_theorem("probe", 3, jobs=jobs) for jobs in (1, 2, 3)]
+        for report in reports:
+            report.pop("runtime_seconds")
         assert started == [2, 3]
         assert reports[0] == reports[1] == reports[2]
         failures = []
@@ -393,6 +406,19 @@ class TestVerifyTheorem:
         assert reports[0]["counterexamples"] == failures[:oracle._MAX_COUNTEREXAMPLES]
         assert reports[0]["stats"]["failed"] == len(failures)
         assert reports[0]["candidates"] == 3 ** 9 and not reports[0]["ok"]
+
+    def test_only_the_report_cuts_the_counterexamples(self, monkeypatch):
+        # every triple of the rectangle iterator repeats an element, so the
+        # rec8n runner returns more than the report lists: the first 20
+        from uninorms.properties import Rectangle
+        real = oracle.rectangles
+        monkeypatch.setattr(oracle, "rectangles", lambda n, symmetric=False: (
+            Rectangle(a, a, c) for a, b, c in real(n, symmetric)))
+        _, cex, _ = oracle._CATALOG["rec8n"][2](4, 0, 1)
+        assert len(cex) > oracle._MAX_COUNTEREXAMPLES
+        report = verify_theorem("rec8n", 4)
+        assert report["counterexamples"] == cex[:oracle._MAX_COUNTEREXAMPLES]
+        assert report["counterexample_count"] == 20 and not report["ok"]
 
     def test_worker_count_is_bounded(self, monkeypatch):
         # checked without starting a pool
@@ -521,6 +547,60 @@ class TestProbeFastPaths:
         assert len(c["findings"]) == 20
 
 
+class TestClassDigests:
+    """The set of tables each claim declared with ``_scan`` hands its check,
+    at jobs = 1: its size and the sha256 of the sorted tables. A count can
+    stay the same while the set changes; the digest does not depend on the
+    order in which the class is searched or scanned."""
+
+    # (claim, n): (tables, sha256 of repr(sorted(tables))), at n = 3 and, up
+    # to each claim's bound, at n = 4, where each run takes under a second
+    _DIGESTS = {
+        ("bis-a", 3): (27, "ca0f611d974c028103801cc5e76d21863df233d69677bbda06254c02e712c3f1"),
+        ("bis-a", 4): (376, "46dbe7986b8211003d0022088e12089e5f3412ffceae78db81dc5ea88d35b70e"),
+        ("bis-b", 3): (63, "fb1902a0f18d1b09ad44fd524b1e3580839cfa6ee745e2dafb74211429ab6782"),
+        ("bis-b", 4): (1140, "764eb3d038bb71ed820deaf3de94daf9a33506134b0621d54d345d739cc7deba"),
+        ("bis-c", 3): (14, "fac66348dafd29395410a41621ae2a0e823f167d6f41d66ffe6fdcbb66c6a19f"),
+        ("bis-c", 4): (58, "ebb4b85e6333cf4fb0227bbad909fa0a1c22200d77135427aae2deb7c97f7484"),
+        ("consj", 3): (19683, "44c5c4f132ded9dbaf1b74d214c307dbf0ef4c2449254c69618a6f7939fbc7bd"),
+        ("corollary-mainb", 3): (13, "b5e2843c88a195f84424c49d1eded219996b7df06517690d6f8e1c1c86bcbfbb"),
+        ("corollary-mainb", 4): (346, "5a2633ae043d5a77f457dcd454dfe5a9af0e6d2f837a0a149eb7e8b709a049cd"),
+        ("ee", 3): (64, "8ee74b5050b0c228965606b3be3906b765793ceb96611cbb64700c1d38578dc4"),
+        ("ee", 4): (4096, "acf06356c1312b5142e5606c2aea568474df75e3f3f450a67811c8772729ee48"),
+        ("idis", 3): (729, "ae10e37e81b17177e1d27d995cad926a6dec1f44205a057b17e6a9c63a1fbfec"),
+        ("main3", 3): (4, "8818b08e2800730b8f1187abbc8e7d049de7210daced881731ff58b3b66d2852"),
+        ("main3", 4): (8, "a7ed6f69ce868b633850c4b65eb78dab23e5aee42a80fbc35c38c58035123e53"),
+        ("mainb", 3): (13, "b5e2843c88a195f84424c49d1eded219996b7df06517690d6f8e1c1c86bcbfbb"),
+        ("mainb", 4): (346, "5a2633ae043d5a77f457dcd454dfe5a9af0e6d2f837a0a149eb7e8b709a049cd"),
+        ("prel34", 3): (11, "23ab9250b7e3f71bb1fa7aa6b6d083abbecfff720fe111b0426ffb27f297bbb6"),
+        ("prel34", 4): (164, "5d33cacbd780998b977dd493592bdcc04c51e6eed89f34aa2e4a59cd0b0dd082"),
+        ("tcons", 3): (19683, "44c5c4f132ded9dbaf1b74d214c307dbf0ef4c2449254c69618a6f7939fbc7bd"),
+        ("te3", 3): (19683, "44c5c4f132ded9dbaf1b74d214c307dbf0ef4c2449254c69618a6f7939fbc7bd"),
+        ("testca", 3): (64, "8ee74b5050b0c228965606b3be3906b765793ceb96611cbb64700c1d38578dc4"),
+        ("testca", 4): (4096, "acf06356c1312b5142e5606c2aea568474df75e3f3f450a67811c8772729ee48"),
+    }
+
+    @pytest.mark.parametrize("name,n", list(_DIGESTS))
+    def test_the_check_sees_the_pinned_class(self, monkeypatch, name, n):
+        seen = []
+        tally = oracle._tally
+
+        def recording(tables, check, size):
+            seen.append(list(tables))
+            return tally(seen[-1], check, size)
+
+        monkeypatch.setattr(oracle, "_tally", recording)
+        verify_theorem(name, n, jobs=1)
+        [tables] = seen
+        digest = hashlib.sha256(repr(sorted(tables)).encode()).hexdigest()
+        assert (len(tables), digest) == self._DIGESTS[name, n]
+
+    def test_every_scanned_claim_is_pinned(self):
+        scanned = {name for name, (_, _, runner) in oracle._CATALOG.items()
+                   if runner.__qualname__.startswith("_scan.")}
+        assert scanned == {name for name, _ in self._DIGESTS}
+
+
 class TestScanEngineCrossValidation:
     """The indexed table spaces, and the mirrored search with no identity,
     against plain itertools enumeration."""
@@ -604,7 +684,7 @@ class TestSearch:
             lambda n: [oracle._neutral(n, e) for e in range(1, n + 1)],
             {"nondecreasing": True}, is_nondecreasing, 3),
         "idempotent-neutral-nondecreasing": (
-            lambda n: [values for values, _ in oracle._idempotent_neutral_parts(n)],
+            oracle._idempotent_neutral_parts,
             {"nondecreasing": True}, is_nondecreasing, 3),
         "symmetric-associative": (
             lambda n: [oracle._full(n)], {"mirror": True, "identities": (_ASSOCIATIVITY,)},
@@ -700,7 +780,8 @@ class TestSourceValidation:
         lambda n, values: iter(oracle._space(n, values)),
         lambda n, values: oracle._search(n, values),
         lambda n, values: oracle._search(n, values, mirror=True),
-        lambda n, values: iter(oracle._draw([(values, False)], n, 0)),
+        lambda n, values: iter(oracle._draw([values], n, 0, False)),
+        lambda n, values: iter(oracle._draw([values], n, 0, True)),
     ])
     def test_a_bad_cell_value_fails_before_any_table(self, source, bad):
         # the bad value sits last in the last cell's domain, so a source that
@@ -719,40 +800,43 @@ class TestSample:
     tables they keep from the cell domains of the claims' searches, against
     the classes filtered out of the whole space."""
 
-    # name: (the class as parts, the prefilter it stands for)
+    # name: (the class as parts, whether they are mirrored, the prefilter it
+    # stands for)
     _CLASSES = {
-        "neutral": (oracle._neutral_parts, lambda op: find_neutral_element(op) is not None),
-        "symmetric": (oracle._symmetric_parts, is_symmetric),
+        "neutral": (oracle._neutral_parts, False,
+                    lambda op: find_neutral_element(op) is not None),
+        "symmetric": (lambda n: [oracle._full(n)], True, is_symmetric),
     }
 
     @staticmethod
     def _filtered(name, n) -> set:
-        prefilter = TestSample._CLASSES[name][1]
+        prefilter = TestSample._CLASSES[name][2]
         return {t for t in oracle.full_space(n) if prefilter(_unchecked_operation(n, t))}
 
     @pytest.mark.parametrize("name,n,size", [
         ("neutral", 2, 4), ("neutral", 3, 243), ("symmetric", 2, 8), ("symmetric", 3, 729)])
     def test_class_sizes_are_the_exhaustive_counts(self, name, n, size):
-        parts = self._CLASSES[name][0](n)
-        assert sum(part[0] for part in oracle._sized(n, parts)) == size
+        parts, mirror, _ = self._CLASSES[name]
+        assert sum(part[0] for part in oracle._sized(n, parts(n), mirror)) == size
         assert len(self._filtered(name, n)) == size
 
     @pytest.mark.parametrize("name", list(_CLASSES))
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_kept_tables_meet_the_prefilter(self, name, n):
-        parts, prefilter = self._CLASSES[name]
-        tables = oracle._draw(parts(n), n, 0)
+        parts, mirror, prefilter = self._CLASSES[name]
+        tables = oracle._draw(parts(n), n, 0, mirror)
         assert TestSourceValidation._valid(n, tables) > 0
         assert all(prefilter(BinaryOperation(FiniteChain(n), t)) for t in tables)
         # each draw is kept with probability |class| / n^(n^2): the number
         # kept lies within five standard deviations of its mean
-        p = sum(part[0] for part in oracle._sized(n, parts(n))) / n ** (n * n)
+        p = sum(part[0] for part in oracle._sized(n, parts(n), mirror)) / n ** (n * n)
         mean = oracle.SAMPLE_SIZE * p
         assert abs(len(tables) - mean) < 5 * (mean * (1 - p)) ** 0.5
 
     @pytest.mark.parametrize("name", list(_CLASSES))
     def test_kept_tables_cover_the_class(self, name):
-        tables = oracle._draw(self._CLASSES[name][0](2), 2, 0)
+        parts, mirror, _ = self._CLASSES[name]
+        tables = oracle._draw(parts(2), 2, 0, mirror)
         assert set(tables) == self._filtered(name, 2)
 
     @pytest.mark.parametrize("name,antecedent", [("bis-a", is_bisymmetric),
@@ -772,7 +856,7 @@ class TestSample:
             return tuple(map(tuple, rows))
 
         drawn = uninorms + [moved(t) for t in uninorms]
-        monkeypatch.setattr(oracle, "_draw", lambda parts, n, seed: drawn)
+        monkeypatch.setattr(oracle, "_draw", lambda parts, n, seed, mirror: drawn)
         accepted = sum(antecedent(_unchecked_operation(5, t)) for t in drawn)
         assert 16 <= accepted < len(drawn)
         report = verify_theorem(name, 5, seed=7)

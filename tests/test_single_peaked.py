@@ -1,3 +1,4 @@
+import sys
 from itertools import permutations
 
 import pytest
@@ -130,6 +131,25 @@ class TestEnumeration:
     def test_downward_extension_comes_first(self):
         seqs = [o.seq for o in enumerate_single_peaked(3)]
         assert seqs == [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 2, 1)]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_emission_order_is_the_recursive_walk(self, n):
+        # every interval extended down before up, one call per element
+        def walk(lo, hi, prefix):
+            if len(prefix) == n:
+                yield prefix
+            if lo > 1:
+                yield from walk(lo - 1, hi, prefix + (lo - 1,))
+            if hi < n:
+                yield from walk(lo, hi + 1, prefix + (hi + 1,))
+
+        expected = [seq for start in range(1, n + 1) for seq in walk(start, start, (start,))]
+        assert [o.seq for o in enumerate_single_peaked(n)] == expected
+
+    def test_first_order_past_the_recursion_limit(self):
+        n = 1200
+        assert n > sys.getrecursionlimit()
+        assert next(enumerate_single_peaked(n)).seq == tuple(range(1, n + 1))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
