@@ -9,34 +9,40 @@ Conventions used throughout the package:
   file holds ``F(1,y) ... F(n,y)`` so that files read like the contour plots
   (bottom row of the plot is the first line).
 
-All types are immutable after construction and safe to share between workers.
+The value types are immutable named tuples, safe to share between workers:
+their fields are read by name, they compare and hash by their fields, and
+assigning an attribute raises ``AttributeError``. ``FiniteChain``,
+``BinaryOperation``, ``LinearOrder`` and ``GSpec`` check their fields when
+they are built (the named-tuple helpers ``_make`` and ``_replace`` do not).
+Being tuples, instances can also be iterated and unpacked, and one equals
+the plain tuple of its fields: ``FiniteChain(3) == (3,)``.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import chain, compress, product
 from typing import Iterable, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class FiniteChain:
+class FiniteChain(namedtuple("FiniteChain", "n")):
     """The carrier {1, ..., n} with its natural order."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"chain size must be a positive integer, got {self.n!r}")
+    def __new__(cls, n: int) -> FiniteChain:
+        if type(n) is not int or n < 1:
+            raise ValueError(f"chain size must be a positive integer, got {n!r}")
+        return super().__new__(cls, n)
 
     def elements(self) -> range:
         return range(1, self.n + 1)
 
 
-@dataclass(frozen=True)
-class BinaryOperation:
-    """A total binary operation on a finite chain, stored as a dense table.
+class BinaryOperation(namedtuple("BinaryOperation", "chain table")):
+    """A total binary operation on a finite chain, stored as a dense table:
+    an immutable named tuple ``(chain, table)``.
 
     ``table[x-1][y-1]`` is the value F(x, y); every entry must be an int
     (not a bool) in 1..n. The public constructor checks this for every
@@ -49,17 +55,17 @@ class BinaryOperation:
     maximum writes x or y.
     """
 
-    chain: FiniteChain
-    table: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.chain.n
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+    def __new__(cls, chain: FiniteChain, table: tuple[tuple[int, ...], ...]) -> BinaryOperation:
+        n = chain.n
+        if len(table) != n or any(len(row) != n for row in table):
             raise ValueError(f"table must be {n}x{n}")
-        for row in self.table:
+        for row in table:
             for v in row:
                 if type(v) is not int or not 1 <= v <= n:
                     raise ValueError(f"table entry {v!r} is not an integer in 1..{n}")
+        return super().__new__(cls, chain, table)
 
     @property
     def n(self) -> int:
@@ -87,27 +93,29 @@ def _unchecked_operation(n: int, table: tuple[tuple[int, ...], ...]) -> BinaryOp
 
     The caller must guarantee what the public constructor would check:
     ``table`` is a tuple of n tuples of n ints (not bools), each in 1..n.
+    The result is the same immutable named tuple as a checked one, equal to
+    it and with the same hash.
     """
-    op = object.__new__(BinaryOperation)
-    op.__dict__.update(chain=_shared_chain(n), table=table)
-    return op
+    return tuple.__new__(BinaryOperation, (_shared_chain(n), table))
 
 
-@dataclass(frozen=True)
-class LinearOrder:
+class LinearOrder(namedtuple("LinearOrder", "chain seq")):
     """A linear ordering of 1..n, as the sequence from smallest to largest.
 
     ``seq[k]`` is the element ranked k+1 from the bottom; the associated
     permutation sends rank to element.
     """
 
-    chain: FiniteChain
-    seq: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.chain.n
-        if sorted(self.seq) != list(range(1, n + 1)):
-            raise ValueError(f"seq must be a permutation of 1..{n}, got {self.seq!r}")
+    def __new__(cls, chain: FiniteChain, seq: tuple[int, ...]) -> LinearOrder:
+        n = chain.n
+        for v in seq:
+            if type(v) is not int:  # sorted() would take True for 1
+                raise ValueError(f"seq entry {v!r} is not an integer")
+        if sorted(seq) != list(range(1, n + 1)):
+            raise ValueError(f"seq must be a permutation of 1..{n}, got {seq!r}")
+        return super().__new__(cls, chain, seq)
 
     @property
     def n(self) -> int:
@@ -122,8 +130,7 @@ class LinearOrder:
         return self.seq.index(u) <= self.seq.index(v)
 
 
-@dataclass(frozen=True)
-class ContourPartition:
+class ContourPartition(NamedTuple):
     """Level sets of an operation: the classes of the "same value" relation.
 
     Classes are listed in ascending order of their common value; points inside
@@ -136,30 +143,28 @@ class ContourPartition:
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GSpec:
+class GSpec(namedtuple("GSpec", "chain e g")):
     """Parameters of the min/max patchwork representation of an idempotent
     discrete uninorm: a neutral element e and a nonincreasing map
     g: {1..e} -> {e..n} with g(e) = e.  ``g[k-1]`` stores g(k).
     """
 
-    chain: FiniteChain
-    e: int
-    g: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.chain.n
-        if not 1 <= self.e <= n:
-            raise ValueError(f"neutral element {self.e} outside 1..{n}")
-        if len(self.g) != self.e:
-            raise ValueError(f"g must be defined on 1..{self.e}")
-        for v in self.g:
-            if not self.e <= v <= n:
-                raise ValueError(f"g value {v} outside {self.e}..{n}")
-        if any(a < b for a, b in zip(self.g, self.g[1:])):
-            raise ValueError(f"g must be nonincreasing, got {self.g!r}")
-        if self.g[-1] != self.e:
-            raise ValueError(f"g({self.e}) must equal {self.e}, got {self.g[-1]}")
+    def __new__(cls, chain: FiniteChain, e: int, g: tuple[int, ...]) -> GSpec:
+        n = chain.n
+        if not 1 <= e <= n:
+            raise ValueError(f"neutral element {e} outside 1..{n}")
+        if len(g) != e:
+            raise ValueError(f"g must be defined on 1..{e}")
+        for v in g:
+            if not e <= v <= n:
+                raise ValueError(f"g value {v} outside {e}..{n}")
+        if any(a < b for a, b in zip(g, g[1:])):
+            raise ValueError(f"g must be nonincreasing, got {g!r}")
+        if g[-1] != e:
+            raise ValueError(f"g({e}) must equal {e}, got {g[-1]}")
+        return super().__new__(cls, chain, e, g)
 
 
 class Restriction(NamedTuple):

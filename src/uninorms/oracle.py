@@ -45,11 +45,10 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from functools import cache
 from itertools import chain, permutations, product
 from math import comb, prod
-from typing import Generator, Iterator, Optional
+from typing import Generator, Iterator, NamedTuple, Optional
 
 from .core import (
     BinaryOperation,
@@ -91,8 +90,7 @@ SAMPLE_SIZE = 100_000
 _MAX_COUNTEREXAMPLES = 20
 
 
-@dataclass(frozen=True)
-class PropertyProfile:
+class PropertyProfile(NamedTuple):
     """All property flags of one operation, each from its own checker."""
 
     idempotent: bool
@@ -491,10 +489,15 @@ def _sweep(check, space: TableSpace, n: int, jobs: int = 1) -> dict:
     worker, else one index range per worker, each rebuilt there from the
     space's rows. The ranges merge in index order, each with the first
     counterexamples of its range, so the first ``_MAX_COUNTEREXAMPLES`` of
-    the merge, all that a report lists, are the one-worker result's."""
+    the merge, all that a report lists, are the one-worker result's.
+
+    The pool module is imported here, when the first scan starts workers,
+    so that ``import uninorms`` does not load ``multiprocessing``."""
     workers = _worker_count(jobs, space.size)
     if workers == 1:
         return _tally(space, check, n)
+    from concurrent.futures import ProcessPoolExecutor
+
     tasks = [(check, n, space.rows, start, stop) for start, stop in _ranges(space.size, workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return _merge_scans(list(pool.map(_scan_range, tasks)))
@@ -668,10 +671,16 @@ def _check_consj(op: BinaryOperation):
 # a subset S of the chain is a bit mask, element x its bit x - 1; row i of
 # the table holds F(i + 1, .)
 
+@cache
+def _subsets(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(mask, its rows) for every nonempty subset of the chain."""
+    return tuple((mask, tuple(i for i in range(n) if mask >> i & 1))
+                 for mask in range(1, 1 << n))
+
+
 def _closed_under_all_subsets(op: BinaryOperation, n: int) -> bool:
     t = op.table
-    for mask in range(1, 1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
+    for mask, members in _subsets(n):
         for i in members:
             row = t[i]
             for j in members:

@@ -1,17 +1,23 @@
 import json
+import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from uninorms import (
+    BinaryOperation,
+    ContourPartition,
     FiniteChain,
     GSpec,
     LinearOrder,
+    PropertyProfile,
     contour_partition,
     fixture,
     format_table,
     isolated_points,
     make_operation,
+    order_to_uninorm,
     parse_order,
     parse_table,
     parse_table_auto,
@@ -20,6 +26,11 @@ from uninorms import (
     table_to_json_dict,
 )
 from uninorms.oracle import enumerate_conservative
+
+
+def exactly(message: str) -> str:
+    """A ``pytest.raises`` pattern that matches the whole message only."""
+    return f"^{re.escape(message)}$"
 
 
 def max_op(n):
@@ -45,11 +56,11 @@ class TestFiniteChain:
         assert list(FiniteChain(3).elements()) == [1, 2, 3]
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("chain size must be a positive integer, got 0")):
             FiniteChain(0)
 
     def test_rejects_bool(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("chain size must be a positive integer, got True")):
             FiniteChain(True)
 
 
@@ -66,15 +77,15 @@ class TestMakeOperation:
         assert op(1, 2) == 1 and op(2, 1) == 2
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("table must be 3x3")):
             make_operation(3, [[1, 2], [2, 2]])
 
     def test_entry_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("table entry 3 is not an integer in 1..2")):
             make_operation(2, [[1, 3], [2, 2]])
 
     def test_bool_entry(self):
-        with pytest.raises(ValueError, match="not an integer"):
+        with pytest.raises(ValueError, match=exactly("table entry True is not an integer in 1..2")):
             make_operation(2, [[True, 2], [2, 2]])
 
 
@@ -238,10 +249,17 @@ class TestOrders:
         assert parse_order(" ".join(map(str, seq))).seq == seq
 
     def test_non_permutation_rejected(self):
-        with pytest.raises(ValueError):
+        message = exactly("seq must be a permutation of 1..3, got (1, 2, 2)")
+        with pytest.raises(ValueError, match=message):
             LinearOrder(FiniteChain(3), (1, 2, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             parse_order("1 2 2")
+
+    def test_bool_entry_rejected(self):
+        # sorted() alone would take True for 1, and the order maximum would
+        # then write True into a table it does not check
+        with pytest.raises(ValueError, match=exactly("seq entry True is not an integer")):
+            order_to_uninorm(LinearOrder(FiniteChain(3), (True, 2, 3)))
 
 
 class TestGSpec:
@@ -249,13 +267,66 @@ class TestGSpec:
         GSpec(FiniteChain(4), 2, (3, 2))
 
     def test_rejects_increasing(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("g must be nonincreasing, got (2, 3)")):
             GSpec(FiniteChain(4), 2, (2, 3))
 
     def test_rejects_wrong_endpoint(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("g(2) must equal 2, got 3")):
             GSpec(FiniteChain(4), 2, (3, 3))
 
     def test_rejects_out_of_band_values(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("g value 2 outside 3..4")):
             GSpec(FiniteChain(4), 3, (2, 3, 3))
+
+    def test_rejects_neutral_outside_the_chain(self):
+        with pytest.raises(ValueError, match=exactly("neutral element 5 outside 1..4")):
+            GSpec(FiniteChain(4), 5, (5, 5, 5, 5, 5))
+
+    def test_rejects_g_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match=exactly("g must be defined on 1..2")):
+            GSpec(FiniteChain(4), 2, (2,))
+
+
+# type: (its fields by name, built afresh on each call so that two calls give
+# equal but distinct fields, and the repr text)
+_VALUES = {
+    FiniteChain: (lambda: {"n": 3}, "FiniteChain(n=3)"),
+    BinaryOperation: (lambda: {"chain": FiniteChain(2), "table": ((1, 2), (2, 2))},
+                      "BinaryOperation(chain=FiniteChain(n=2), table=((1, 2), (2, 2)))"),
+    LinearOrder: (lambda: {"chain": FiniteChain(3), "seq": (2, 3, 1)},
+                  "LinearOrder(chain=FiniteChain(n=3), seq=(2, 3, 1))"),
+    GSpec: (lambda: {"chain": FiniteChain(4), "e": 2, "g": (3, 2)},
+            "GSpec(chain=FiniteChain(n=4), e=2, g=(3, 2))"),
+    ContourPartition: (lambda: {"chain": FiniteChain(2),
+                                "classes": (((1, 1),), ((1, 2), (2, 1), (2, 2))),
+                                "values": (1, 2)},
+                       "ContourPartition(chain=FiniteChain(n=2), classes=(((1, 1),), "
+                       "((1, 2), (2, 1), (2, 2))), values=(1, 2))"),
+    PropertyProfile: (lambda: {"idempotent": True, "conservative": True, "symmetric": True,
+                               "nondecreasing": True, "associative": True, "bisymmetric": True,
+                               "neutral": 1, "isolated": ((1, 1),)},
+                      "PropertyProfile(idempotent=True, conservative=True, symmetric=True, "
+                      "nondecreasing=True, associative=True, bisymmetric=True, neutral=1, "
+                      "isolated=((1, 1),))"),
+}
+
+
+class TestValueTypes:
+    """The six value types are immutable named tuples: built by position or
+    by keyword, shown, compared and hashed by their fields, and pickled."""
+
+    @pytest.mark.parametrize("kind", list(_VALUES), ids=lambda kind: kind.__name__)
+    def test_contract(self, kind):
+        fields, text = _VALUES[kind]
+        value = kind(*fields().values())
+        assert type(value) is kind and repr(value) == text
+        twin = kind(**fields())
+        assert twin is not value and twin == value and hash(twin) == hash(value)
+        assert tuple(value) == tuple(fields().values())
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is kind and copy == value
+        name = next(iter(fields()))
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            value.extra = 1

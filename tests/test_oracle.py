@@ -1,7 +1,9 @@
 import hashlib
 import json
+import pickle
 import subprocess
 import sys
+from concurrent import futures
 from itertools import chain
 from math import comb
 
@@ -382,14 +384,14 @@ class TestVerifyTheorem:
     def test_counterexamples_do_not_depend_on_the_worker_count(self, monkeypatch, check):
         # three usable CPUs, so that jobs = 3 really starts three ranges
         monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
-        real_pool = oracle.ProcessPoolExecutor
+        real_pool = futures.ProcessPoolExecutor
         started = []
 
         def pool(max_workers):
             started.append(max_workers)
             return real_pool(max_workers=max_workers)
 
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", pool)
         monkeypatch.setitem(oracle._CATALOG, "probe",
                             (3, "probe", oracle._scan(check, lambda n: [oracle._full(n)])))
         reports = [verify_theorem("probe", 3, jobs=jobs) for jobs in (1, 2, 3)]
@@ -456,7 +458,7 @@ class TestVerifyTheorem:
 
         for seed in (0, 1):
             serial = verify_theorem(name, 5, seed=seed, jobs=1)
-            monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+            monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
             pooled = verify_theorem(name, 5, seed=seed, jobs=2)
             monkeypatch.undo()
             serial.pop("runtime_seconds")
@@ -549,7 +551,8 @@ class TestProbeFastPaths:
 
 class TestClassDigests:
     """The set of tables each claim declared with ``_scan`` hands its check,
-    at jobs = 1: its size and the sha256 of the sorted tables. A count can
+    at jobs = 1, and the set each search of ``main`` and the open-questions
+    probe keeps: its size and the sha256 of the sorted tables. A count can
     stay the same while the set changes; the digest does not depend on the
     order in which the class is searched or scanned."""
 
@@ -594,6 +597,41 @@ class TestClassDigests:
         [tables] = seen
         digest = hashlib.sha256(repr(sorted(tables)).encode()).hexdigest()
         assert (len(tables), digest) == self._DIGESTS[name, n]
+
+    # the searches of the constructions, which hand their tables to no
+    # check: (search, n): (tables, sha256 of repr(sorted(tables)))
+    _SEARCHES = {
+        "main": lambda n: oracle._searched(n, [oracle._conservative], mirror=True,
+                                           nondecreasing=True)[1],
+        "open-questions a": lambda n: oracle._drain(oracle._search(
+            n, oracle._conservative, identities=(_ASSOCIATIVITY,)))[1],
+        "open-questions a, symmetric": lambda n: oracle._drain(oracle._search(
+            n, oracle._conservative, mirror=True, identities=(_ASSOCIATIVITY,)))[1],
+        "open-questions c": lambda n: oracle._drain(oracle._search(
+            n, oracle._full(n), mirror=True, identities=(_BISYMMETRY,)))[1],
+    }
+    _SEARCH_DIGESTS = {
+        ("main", 3): (4, "8818b08e2800730b8f1187abbc8e7d049de7210daced881731ff58b3b66d2852"),
+        ("main", 4): (8, "a7ed6f69ce868b633850c4b65eb78dab23e5aee42a80fbc35c38c58035123e53"),
+        ("main", 5): (16, "9eb678e663dd2be68428d7a8951396ff9c09ab2ff9c0aa61e8714bf7afb5532c"),
+        ("main", 6): (32, "58f306f8e228ce0c54de6751f63a091073f4fcfac168dc892b4f85dc9d391c9f"),
+        ("open-questions a", 3):
+            (20, "d66cb7d713a00e896292434b8a1081e4460daaf4e57d93949934c57ff7350b55"),
+        ("open-questions a", 4):
+            (138, "63d389bbd2be8fec355c8655ea2f664908724e470ebb8c6e2e95325e6f7e06d8"),
+        ("open-questions a, symmetric", 3):
+            (6, "e9fdb90e49cd2b97ed8cb486486c9c8e7b115b7cc0b6bee5eec81ad586a0a55f"),
+        ("open-questions a, symmetric", 4):
+            (24, "333222ec9b671d2ac8b42f5f3274a0627aa32637714a5b37208dbaa76e627828"),
+        ("open-questions c", 3):
+            (105, "39c635c34fe0ef9915e9d1f4d6ca89210df341cafe119122c762b84a99c58563"),
+    }
+
+    @pytest.mark.parametrize("search,n", list(_SEARCH_DIGESTS))
+    def test_the_construction_search_keeps_the_pinned_tables(self, search, n):
+        tables = self._SEARCHES[search](n)
+        digest = hashlib.sha256(repr(sorted(tables)).encode()).hexdigest()
+        assert (len(tables), digest) == self._SEARCH_DIGESTS[search, n]
 
     def test_every_scanned_claim_is_pinned(self):
         scanned = {name for name, (_, _, runner) in oracle._CATALOG.items()
@@ -749,7 +787,8 @@ class TestSourceValidation:
     """A space, a search or a sample checks its cell values once, and
     the oracle builds its operations without checking each table again. So
     every table a source yields must pass the public constructor, and the
-    unchecked operation must equal the checked one."""
+    unchecked operation must equal the checked one, also after a pickle
+    round trip."""
 
     @staticmethod
     def _valid(n, tables) -> int:
@@ -758,7 +797,8 @@ class TestSourceValidation:
         for count, t in enumerate(tables, 1):
             checked = BinaryOperation(FiniteChain(n), t)
             op = _unchecked_operation(n, t)
-            assert op == checked and hash(op) == hash(checked)
+            assert op == checked and hash(op) == hash(checked) and repr(op) == repr(checked)
+            assert pickle.loads(pickle.dumps(op)) == checked
         return count
 
     @pytest.mark.parametrize("name,n", [("full", 3), ("idempotent", 3), ("conservative", 4)])
@@ -869,3 +909,12 @@ class TestSample:
                 "uninorms.verify_theorem('bis-b', 5); assert 'numpy' not in sys.modules")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
         assert result.returncode == 0, result.stderr
+
+
+def test_import_loads_no_process_pool_or_dataclasses():
+    # only a scan that starts workers imports the pool module
+    code = ("import sys, uninorms, uninorms.cli; "
+            "loaded = {'multiprocessing', 'concurrent.futures.process', 'dataclasses'} "
+            "& set(sys.modules); assert not loaded, sorted(loaded)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert result.returncode == 0, result.stderr
