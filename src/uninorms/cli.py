@@ -189,15 +189,7 @@ def _cmd_check(args) -> int:
     data = prof.to_dict()
     data["n"] = op.n
     print(json.dumps(data, sort_keys=True, indent=2))
-    holds = {
-        "idempotent": prof.idempotent,
-        "conservative": prof.conservative,
-        "symmetric": prof.symmetric,
-        "nondecreasing": prof.nondecreasing,
-        "associative": prof.associative,
-        "bisymmetric": prof.bisymmetric,
-        "has-neutral": prof.neutral is not None,
-    }
+    holds = {**prof._asdict(), "has-neutral": prof.neutral is not None}
     failed = [name for name in requested if not holds[name]]
     if failed:
         print(f"failed: {', '.join(failed)}", file=sys.stderr)

@@ -27,7 +27,13 @@ from typing import Iterable, NamedTuple, Sequence
 
 
 class FiniteChain(namedtuple("FiniteChain", "n")):
-    """The carrier {1, ..., n} with its natural order."""
+    """The carrier {1, ..., n} with its natural order.
+
+    The constructor is the one check of a chain size: every public function
+    that takes a size n builds ``FiniteChain(n)`` before it builds anything
+    else, so a size that is not an int, or is a bool, or is below 1 gets
+    this one error wherever it enters the package.
+    """
 
     __slots__ = ()
 
@@ -143,21 +149,30 @@ class ContourPartition(NamedTuple):
     values: tuple[int, ...]
 
 
+def _check_neutral(n: int, e: int) -> None:
+    """Reject a neutral element that is not an int (a bool is not one) in
+    1..n: the one check of a neutral element given to the package."""
+    if type(e) is not int or not 1 <= e <= n:
+        raise ValueError(f"neutral element {e!r} outside 1..{n}")
+
+
 class GSpec(namedtuple("GSpec", "chain e g")):
     """Parameters of the min/max patchwork representation of an idempotent
     discrete uninorm: a neutral element e and a nonincreasing map
-    g: {1..e} -> {e..n} with g(e) = e.  ``g[k-1]`` stores g(k).
+    g: {1..e} -> {e..n} with g(e) = e.  ``g[k-1]`` stores g(k), and every
+    value is an int, not a bool.
     """
 
     __slots__ = ()
 
     def __new__(cls, chain: FiniteChain, e: int, g: tuple[int, ...]) -> GSpec:
         n = chain.n
-        if not 1 <= e <= n:
-            raise ValueError(f"neutral element {e} outside 1..{n}")
+        _check_neutral(n, e)
         if len(g) != e:
             raise ValueError(f"g must be defined on 1..{e}")
         for v in g:
+            if type(v) is not int:  # a bool would compare as 0 or 1
+                raise ValueError(f"g value {v!r} is not an integer")
             if not e <= v <= n:
                 raise ValueError(f"g value {v} outside {e}..{n}")
         if any(a < b for a, b in zip(g, g[1:])):
@@ -284,7 +299,13 @@ def parse_table(text: str) -> BinaryOperation:
 
 def table_to_json_dict(op: BinaryOperation) -> dict:
     """JSON form ``{"n": n, "table": rows}`` with the text format's line order."""
-    return {"n": op.n, "table": [list(line) for line in zip(*op.table)]}
+    return {"n": op.n, "table": _json_rows(op.table)}
+
+
+def _json_rows(table: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """The rows of the JSON form, in the text format's line order: line y
+    holds F(1,y) .. F(n,y)."""
+    return [list(line) for line in zip(*table)]
 
 
 def table_from_json_dict(data: dict) -> BinaryOperation:

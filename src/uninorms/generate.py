@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterator
 
-from .core import BinaryOperation, FiniteChain, GSpec, _unchecked_operation
+from .core import BinaryOperation, FiniteChain, GSpec, _check_neutral, _unchecked_operation
 
 
 def generate_all_uninorms_gc(n: int) -> Iterator[BinaryOperation]:
@@ -39,10 +39,10 @@ def generate_all_uninorms_gc(n: int) -> Iterator[BinaryOperation]:
     cell's two arguments, so the snapshots are wrapped without a check.
 
     The emission order matches enumerate_single_peaked: start elements
-    ascending, downward extension explored before upward.
+    ascending, downward extension explored before upward. The chain size is
+    checked when the first table is asked for.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    FiniteChain(n)
     table = [[0] * n for _ in range(n)]
     # (a, lo, hi): the interval [lo, hi] reached by adding a, whose shell of
     # new points has the common value a; a neutral element e is [e, e]
@@ -74,19 +74,14 @@ def count_uninorms(n: int) -> int:
     claim. Counts are exact arbitrary-precision integers, so no overflow is
     possible.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return 2 ** (n - 1)
+    return 2 ** (FiniteChain(n).n - 1)
 
 
 def count_uninorms_by_neutral(n: int, e: int) -> int:
     """Number of idempotent discrete uninorms on the n-chain with neutral
     element e: the binomial C(n-1, e-1), checked against the generator by
-    the ``gc`` claim."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 1 <= e <= n:
-        raise ValueError(f"neutral element {e} outside 1..{n}")
+    the ``gc`` claim. Both n and e are checked as ``GSpec`` checks them."""
+    _check_neutral(FiniteChain(n).n, e)
     return comb(n - 1, e - 1)
 
 
@@ -132,9 +127,8 @@ def uninorm_from_gspec(spec: GSpec) -> BinaryOperation:
 
 def enumerate_gspecs(n: int) -> Iterator[GSpec]:
     """All valid parameter choices (e, g): e in 1..n and g nonincreasing from
-    {1..e} into {e..n} with g(e) = e, in lexicographic order of (e, g)."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    {1..e} into {e..n} with g(e) = e, in lexicographic order of (e, g).
+    The chain size is checked when the first parameter choice is asked for."""
     chain = FiniteChain(n)
     for e in range(1, n + 1):
         for head in combinations_with_replacement(range(e, n + 1), e - 1):

@@ -54,6 +54,7 @@ from .core import (
     BinaryOperation,
     FiniteChain,
     LinearOrder,
+    _json_rows,
     _unchecked_operation,
 )
 from .generate import (  # the gspec names stay here: bench/run.py's traced run wraps them
@@ -103,16 +104,8 @@ class PropertyProfile(NamedTuple):
     isolated: tuple[tuple[int, int], ...]
 
     def to_dict(self) -> dict:
-        return {
-            "idempotent": self.idempotent,
-            "conservative": self.conservative,
-            "symmetric": self.symmetric,
-            "nondecreasing": self.nondecreasing,
-            "associative": self.associative,
-            "bisymmetric": self.bisymmetric,
-            "neutral": self.neutral,
-            "isolated": [list(p) for p in self.isolated],
-        }
+        """The fields by name, each isolated point as a list."""
+        return {**self._asdict(), "isolated": [list(p) for p in self.isolated]}
 
 
 def profile(op: BinaryOperation) -> PropertyProfile:
@@ -412,8 +405,7 @@ def enumerate_nondecreasing(n: int) -> Iterator[BinaryOperation]:
 
 
 def _feasible(n: int, cap: int, what: str, growth: str) -> None:
-    if n < 1:
-        raise ValueError("n must be positive")
+    FiniteChain(n)
     if n > cap:
         raise ValueError(
             f"exhaustive enumeration of {what} grows as {growth}; "
@@ -441,11 +433,6 @@ def _tally(tables, check, n: int) -> dict:
         if bad is not None and len(cex) < _MAX_COUNTEREXAMPLES:
             cex.append({"table": _json_rows(op.table), "reason": bad})
     return {"checked": checked, "stats": stats, "counterexamples": cex}
-
-
-def _json_rows(t) -> list[list[int]]:
-    """The rows of ``table_to_json_dict``: line y holds F(1,y) .. F(n,y)."""
-    return [list(line) for line in zip(*t)]
 
 
 def _usable_cpus() -> int:
@@ -725,20 +712,15 @@ def _check_prel34(op: BinaryOperation):
 
 
 def _check_probe_c(op: BinaryOperation):
-    if not is_bisymmetric(op):
-        return (), None
-    assoc = is_associative(op)
-    neutral = find_neutral_element(op)
-    delta = ["bisymmetric_symmetric"]
-    if not assoc:
+    # the search yields symmetric bisymmetric tables only
+    delta, finding = ["bisymmetric_symmetric"], None
+    if not is_associative(op):
         delta.append("lacking_associativity")
-    if neutral is None:
+        finding = "bisymmetric and symmetric, not associative"
+    if find_neutral_element(op) is None:
         delta.append("lacking_neutral")
-    if not assoc:
-        return delta, "bisymmetric and symmetric, not associative"
-    if neutral is None:
-        return delta, "bisymmetric and symmetric, no neutral element"
-    return delta, None
+        finding = finding or "bisymmetric and symmetric, no neutral element"
+    return delta, finding
 
 
 # ---------------------------------------------------------------------------
@@ -957,17 +939,17 @@ def verify_theorem(name: str, n: int, seed: int = 0, jobs: int = 1) -> dict:
     this process from the cell domains of the class: ``seed`` reaches only
     those. ``jobs`` splits only the whole-space scans, one index range per
     worker process. The report is deterministic for fixed (name, n, seed),
-    regardless of the number of workers. ``name`` must be a str, and ``n``,
-    ``seed`` and ``jobs`` ints, not bools."""
+    regardless of the number of workers. ``name`` must be a str, ``n`` a
+    chain size that ``FiniteChain`` accepts, and ``seed`` and ``jobs`` ints,
+    not bools."""
     if not isinstance(name, str):
         raise ValueError(f"name must be a string, got {name!r}")
     key = name.lower()
     cap = theorem_bound(key)
-    for arg, value in (("n", n), ("seed", seed), ("jobs", jobs)):
+    FiniteChain(n)
+    for arg, value in (("seed", seed), ("jobs", jobs)):
         if type(value) is not int:
             raise ValueError(f"{arg} must be an integer, got {value!r}")
-    if n < 1:
-        raise ValueError("n must be positive")
     if n > cap:
         raise ValueError(f"claim {key!r} is only checkable up to n = {cap}")
     if jobs < 1:

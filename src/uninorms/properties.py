@@ -25,7 +25,7 @@ from itertools import chain, combinations, compress, permutations, repeat
 from operator import eq
 from typing import Iterator, NamedTuple, Optional
 
-from .core import BinaryOperation, _cells, contour_partition, isolated_points
+from .core import BinaryOperation, FiniteChain, _cells, contour_partition, isolated_points
 
 
 def idempotency_witness(op: BinaryOperation) -> Optional[int]:
@@ -180,8 +180,10 @@ def rectangles(n: int, symmetric: bool = False) -> Iterator[Rectangle]:
     """All test rectangles on the n-chain in lexicographic triple order.
 
     With ``symmetric=True`` only one rectangle per 3-element subset is
-    produced, which suffices for symmetric operations.
+    produced, which suffices for symmetric operations. The chain size is
+    checked when the first rectangle is asked for.
     """
+    FiniteChain(n)
     if symmetric:
         for a, b, c in combinations(range(1, n + 1), 3):
             yield Rectangle(a, b, c)
@@ -191,8 +193,8 @@ def rectangles(n: int, symmetric: bool = False) -> Iterator[Rectangle]:
 
 
 def rectangle_count(n: int, symmetric: bool = False) -> int:
-    if n < 1:
-        raise ValueError("n must be positive")
+    """The number of rectangles ``rectangles(n, symmetric)`` yields."""
+    FiniteChain(n)
     if symmetric:
         return n * (n - 1) * (n - 2) // 6
     return n * (n - 1) * (n - 2)

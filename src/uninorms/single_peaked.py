@@ -90,10 +90,9 @@ def enumerate_single_peaked(n: int) -> Iterator[LinearOrder]:
 
     The chosen prefix is maintained as an interval [lo, hi]; at every step the
     downward extension is emitted before the upward one, which fixes the
-    stream order.
+    stream order. The chain size is checked when the first ordering is asked
+    for.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     chain = FiniteChain(n)
     for seq in _extend_interval(n):
         yield LinearOrder(chain, seq)

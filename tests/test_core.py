@@ -1,3 +1,4 @@
+import inspect
 import json
 import pickle
 import re
@@ -5,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+import uninorms
 from uninorms import (
     BinaryOperation,
     ContourPartition,
@@ -24,6 +26,7 @@ from uninorms import (
     restrict,
     table_from_json_dict,
     table_to_json_dict,
+    verify_theorem,
 )
 from uninorms.oracle import enumerate_conservative
 
@@ -62,6 +65,46 @@ class TestFiniteChain:
     def test_rejects_bool(self):
         with pytest.raises(ValueError, match=exactly("chain size must be a positive integer, got True")):
             FiniteChain(True)
+
+
+def _first_parameter_is_n(obj) -> bool:
+    if not callable(obj) or isinstance(obj, type):
+        return False
+    return next(iter(inspect.signature(obj).parameters), None) == "n"
+
+
+# every public function whose first parameter is a chain size, found by its
+# signature, so that a new one is covered with no edit here
+_SIZED = sorted(name for name in uninorms.__all__
+                if _first_parameter_is_n(getattr(uninorms, name)))
+_BAD_SIZES = [0, -1, True, 2.0, 2.5]
+
+
+class TestChainSizeGuard:
+    """A bad chain size gets FiniteChain's one-line error at every entry point."""
+
+    def test_the_entry_points_are_found(self):
+        assert len(_SIZED) >= 12
+        assert {"count_uninorms", "rectangles", "probe_open_questions"} <= set(_SIZED)
+
+    @pytest.mark.parametrize("n", _BAD_SIZES)
+    @pytest.mark.parametrize("name", _SIZED)
+    def test_entry_point(self, name, n):
+        func = getattr(uninorms, name)
+        # 1 for each further argument without a default, such as e
+        rest = [1 for p in list(inspect.signature(func).parameters.values())[1:]
+                if p.default is p.empty]
+        call = lambda: func(n, *rest)
+        if inspect.isgeneratorfunction(func):
+            items = call()  # a generator checks n on its first item
+            call = lambda: next(items)
+        with pytest.raises(ValueError, match=exactly(f"chain size must be a positive integer, got {n!r}")):
+            call()
+
+    @pytest.mark.parametrize("n", _BAD_SIZES)
+    def test_verify_theorem(self, n):
+        with pytest.raises(ValueError, match=exactly(f"chain size must be a positive integer, got {n!r}")):
+            verify_theorem("main", n)
 
 
 class TestMakeOperation:
@@ -281,6 +324,17 @@ class TestGSpec:
     def test_rejects_neutral_outside_the_chain(self):
         with pytest.raises(ValueError, match=exactly("neutral element 5 outside 1..4")):
             GSpec(FiniteChain(4), 5, (5, 5, 5, 5, 5))
+
+    @pytest.mark.parametrize("e", [0, 4, True, 2.0])
+    def test_rejects_a_neutral_element_not_an_int_in_the_chain(self, e):
+        # the rule count_uninorms_by_neutral shares
+        with pytest.raises(ValueError, match=exactly(f"neutral element {e!r} outside 1..3")):
+            GSpec(FiniteChain(3), e, (e,))
+
+    @pytest.mark.parametrize("e,g", [(1, (True,)), (2, (3, 2.0))])
+    def test_rejects_a_non_int_g_value(self, e, g):
+        with pytest.raises(ValueError, match=exactly(f"g value {g[-1]!r} is not an integer")):
+            GSpec(FiniteChain(3), e, g)
 
     def test_rejects_g_of_the_wrong_length(self):
         with pytest.raises(ValueError, match=exactly("g must be defined on 1..2")):

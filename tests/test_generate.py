@@ -114,6 +114,12 @@ class TestCounting:
         with pytest.raises(ValueError):
             count_uninorms_by_neutral(3, 4)
 
+    @pytest.mark.parametrize("e", [0, 4, True, 2.0])
+    def test_by_neutral_rejects_e_as_gspec_does(self, e):
+        with pytest.raises(ValueError) as error:
+            count_uninorms_by_neutral(3, e)
+        assert str(error.value) == f"neutral element {e!r} outside 1..3"
+
     def test_per_neutral_counts_sum_to_total(self):
         for n in range(1, 13):
             total = sum(count_uninorms_by_neutral(n, e) for e in range(1, n + 1))

@@ -201,9 +201,9 @@ class TestVerifyTheorem:
             verify_theorem("main", 0)
 
     @pytest.mark.parametrize("name,n,kwargs,message", [
-        ("rec8n", True, {}, "n must be an integer, got True"),
-        ("main", True, {}, "n must be an integer, got True"),
-        ("idis", 2.0, {}, "n must be an integer, got 2.0"),
+        ("rec8n", True, {}, "chain size must be a positive integer, got True"),
+        ("main", True, {}, "chain size must be a positive integer, got True"),
+        ("idis", 2.0, {}, "chain size must be a positive integer, got 2.0"),
         ("main2n", 3, {"jobs": 1.5}, "jobs must be an integer, got 1.5"),
         ("te3", 2, {"jobs": True}, "jobs must be an integer, got True"),
         ("bis-a", 5, {"seed": 1.5}, "seed must be an integer, got 1.5"),
