@@ -21,6 +21,7 @@ first call. Help, usage errors and output go to the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -129,9 +130,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _open_output(path: str):
+    """A context that gives the output stream: stdout for ``-``, left open
+    on exit, or the file at ``path``, opened for writing and closed on exit."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w")
 
 
 def _read_input(path: str) -> str:
@@ -157,18 +160,14 @@ def _cmd_enumerate(args) -> int:
     # the sources check n when asked for their first item: ask before the
     # output is opened, so a bad n leaves an existing file untouched
     head = list(islice(items, 1))
-    out, close = _open_output(args.output)
     count = 0
-    try:
+    with _open_output(args.output) as out:
         for item in chain(head, items):
             if args.format == "json":
                 out.write(json.dumps(as_json(item), sort_keys=True) + "\n")
             else:
                 out.write(as_text(item))
             count += 1
-    finally:
-        if close:
-            out.close()
     print(f"count: {count}", file=sys.stderr)
     return 0
 
@@ -204,12 +203,8 @@ def _cmd_render(args) -> int:
     else:
         op = parse_table_auto(text)
         rendered = render_contour_text(op) if args.style == "text" else render_contour_dot(op)
-    out, close = _open_output(args.output)
-    try:
+    with _open_output(args.output) as out:
         out.write(rendered)
-    finally:
-        if close:
-            out.close()
     return 0
 
 

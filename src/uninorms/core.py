@@ -13,9 +13,17 @@ The value types are immutable named tuples, safe to share between workers:
 their fields are read by name, they compare and hash by their fields, and
 assigning an attribute raises ``AttributeError``. ``FiniteChain``,
 ``BinaryOperation``, ``LinearOrder`` and ``GSpec`` check their fields when
-they are built (the named-tuple helpers ``_make`` and ``_replace`` do not).
-Being tuples, instances can also be iterated and unpacked, and one equals
-the plain tuple of its fields: ``FiniteChain(3) == (3,)``.
+they are built (the named-tuple helpers ``_make`` and ``_replace`` do not),
+and store every sequence field as a tuple, so an operation built from a
+list of lists equals and hashes as the one built from tuples. Being tuples,
+instances can also be iterated and unpacked, and one equals the plain tuple
+of its fields: ``FiniteChain(3) == (3,)``.
+
+One rule checks a chain size, ``FiniteChain``, and one a chain element,
+``_ints_in``: a table entry, an entry of an ordering, a neutral element, a
+value of g, an element of a subset and a cell value of a scanned class must
+each be an int, not a bool, in its range, or get
+``<what> <value> is not an integer in <lo>..<hi>``.
 """
 from __future__ import annotations
 
@@ -52,7 +60,8 @@ class BinaryOperation(namedtuple("BinaryOperation", "chain table")):
 
     ``table[x-1][y-1]`` is the value F(x, y); every entry must be an int
     (not a bool) in 1..n. The public constructor checks this for every
-    table it is given. ``_unchecked_operation`` does not: it trusts its
+    table it is given, after its shape, and stores the rows as tuples.
+    ``_unchecked_operation`` does not: it trusts its
     caller, a table source that checked its cell domains once for all the
     tables it makes, or a construction whose every entry is one of its two
     arguments. The three constructions of idempotent discrete uninorms are
@@ -63,15 +72,12 @@ class BinaryOperation(namedtuple("BinaryOperation", "chain table")):
 
     __slots__ = ()
 
-    def __new__(cls, chain: FiniteChain, table: tuple[tuple[int, ...], ...]) -> BinaryOperation:
+    def __new__(cls, chain: FiniteChain, table: Sequence[Sequence[int]]) -> BinaryOperation:
         n = chain.n
         if len(table) != n or any(len(row) != n for row in table):
             raise ValueError(f"table must be {n}x{n}")
-        for row in table:
-            for v in row:
-                if type(v) is not int or not 1 <= v <= n:
-                    raise ValueError(f"table entry {v!r} is not an integer in 1..{n}")
-        return super().__new__(cls, chain, table)
+        rows = tuple([_ints_in(row, 1, n, "table entry") for row in table])
+        return super().__new__(cls, chain, rows)
 
     @property
     def n(self) -> int:
@@ -79,6 +85,16 @@ class BinaryOperation(namedtuple("BinaryOperation", "chain table")):
 
     def __call__(self, x: int, y: int) -> int:
         return self.table[x - 1][y - 1]
+
+
+def _ints_in(values: Iterable[int], lo: int, hi: int, what: str) -> tuple[int, ...]:
+    """The values as a tuple, once each is an int, not a bool, in lo..hi:
+    the one check of a chain element given to the package."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int or not lo <= v <= hi:
+            raise ValueError(f"{what} {v!r} is not an integer in {lo}..{hi}")
+    return values
 
 
 @cache
@@ -109,17 +125,16 @@ class LinearOrder(namedtuple("LinearOrder", "chain seq")):
     """A linear ordering of 1..n, as the sequence from smallest to largest.
 
     ``seq[k]`` is the element ranked k+1 from the bottom; the associated
-    permutation sends rank to element.
+    permutation sends rank to element. Every entry must be an int, not a
+    bool, in 1..n, each once; the sequence is stored as a tuple.
     """
 
     __slots__ = ()
 
-    def __new__(cls, chain: FiniteChain, seq: tuple[int, ...]) -> LinearOrder:
+    def __new__(cls, chain: FiniteChain, seq: Iterable[int]) -> LinearOrder:
         n = chain.n
-        for v in seq:
-            if type(v) is not int:  # sorted() would take True for 1
-                raise ValueError(f"seq entry {v!r} is not an integer")
-        if sorted(seq) != list(range(1, n + 1)):
+        seq = _ints_in(seq, 1, n, "seq entry")
+        if len(seq) != n or len(set(seq)) != n:
             raise ValueError(f"seq must be a permutation of 1..{n}, got {seq!r}")
         return super().__new__(cls, chain, seq)
 
@@ -149,32 +164,21 @@ class ContourPartition(NamedTuple):
     values: tuple[int, ...]
 
 
-def _check_neutral(n: int, e: int) -> None:
-    """Reject a neutral element that is not an int (a bool is not one) in
-    1..n: the one check of a neutral element given to the package."""
-    if type(e) is not int or not 1 <= e <= n:
-        raise ValueError(f"neutral element {e!r} outside 1..{n}")
-
-
 class GSpec(namedtuple("GSpec", "chain e g")):
     """Parameters of the min/max patchwork representation of an idempotent
     discrete uninorm: a neutral element e and a nonincreasing map
-    g: {1..e} -> {e..n} with g(e) = e.  ``g[k-1]`` stores g(k), and every
-    value is an int, not a bool.
+    g: {1..e} -> {e..n} with g(e) = e.  ``g[k-1]`` stores g(k), as a
+    tuple; e and every value of g are ints, not bools.
     """
 
     __slots__ = ()
 
-    def __new__(cls, chain: FiniteChain, e: int, g: tuple[int, ...]) -> GSpec:
+    def __new__(cls, chain: FiniteChain, e: int, g: Sequence[int]) -> GSpec:
         n = chain.n
-        _check_neutral(n, e)
+        _ints_in((e,), 1, n, "neutral element")
         if len(g) != e:
             raise ValueError(f"g must be defined on 1..{e}")
-        for v in g:
-            if type(v) is not int:  # a bool would compare as 0 or 1
-                raise ValueError(f"g value {v!r} is not an integer")
-            if not e <= v <= n:
-                raise ValueError(f"g value {v} outside {e}..{n}")
+        g = _ints_in(g, e, n, "g value")
         if any(a < b for a, b in zip(g, g[1:])):
             raise ValueError(f"g must be nonincreasing, got {g!r}")
         if g[-1] != e:
@@ -193,10 +197,11 @@ class Restriction(NamedTuple):
 
 
 def make_operation(chain: FiniteChain | int, table: Sequence[Sequence[int]]) -> BinaryOperation:
-    """Build an operation from an n x n table with ``table[x-1][y-1] = F(x,y)``."""
+    """Build an operation from an n x n table with ``table[x-1][y-1] = F(x,y)``;
+    the chain may be given by its size."""
     if isinstance(chain, int):
         chain = FiniteChain(chain)
-    return BinaryOperation(chain, tuple(tuple(row) for row in table))
+    return BinaryOperation(chain, table)
 
 
 def contour_partition(op: BinaryOperation) -> ContourPartition:
@@ -231,14 +236,12 @@ def isolated_points(op: BinaryOperation) -> tuple[tuple[int, int], ...]:
 def restrict(op: BinaryOperation, subset: Iterable[int]) -> Restriction:
     """Restrict the operation to a subchain, relabeling elements to 1..|S|.
 
-    Fails if the subset is empty or not closed under the operation.
+    Fails if the subset is empty, holds a value that is not an element of
+    the chain, or is not closed under the operation.
     """
-    elements = tuple(sorted(set(subset)))
+    elements = tuple(sorted(set(_ints_in(subset, 1, op.n, "subset element"))))
     if not elements:
         raise ValueError("subset must be nonempty")
-    for v in elements:
-        if not 1 <= v <= op.n:
-            raise ValueError(f"subset element {v} outside 1..{op.n}")
     members = set(elements)
     for x in elements:
         for y in elements:

@@ -5,17 +5,14 @@ block per catalog entry with a leading comment line that names it.
 """
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 
 from .core import BinaryOperation, parse_table
 
-_cache: dict[str, BinaryOperation] | None = None
 
-
+@cache
 def _load() -> dict[str, BinaryOperation]:
-    global _cache
-    if _cache is not None:
-        return _cache
     text = (resources.files("uninorms") / "data" / "figures.tables").read_text()
     catalog: dict[str, BinaryOperation] = {}
     block: list[str] = []
@@ -38,7 +35,6 @@ def _load() -> dict[str, BinaryOperation]:
             catalog[name] = parse_table("\n".join(block))
             block = []
             name = None
-    _cache = catalog
     return catalog
 
 

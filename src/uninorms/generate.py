@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterator
 
-from .core import BinaryOperation, FiniteChain, GSpec, _check_neutral, _unchecked_operation
+from .core import BinaryOperation, FiniteChain, GSpec, _ints_in, _unchecked_operation
 
 
 def generate_all_uninorms_gc(n: int) -> Iterator[BinaryOperation]:
@@ -81,7 +81,7 @@ def count_uninorms_by_neutral(n: int, e: int) -> int:
     """Number of idempotent discrete uninorms on the n-chain with neutral
     element e: the binomial C(n-1, e-1), checked against the generator by
     the ``gc`` claim. Both n and e are checked as ``GSpec`` checks them."""
-    _check_neutral(FiniteChain(n).n, e)
+    _ints_in((e,), 1, FiniteChain(n).n, "neutral element")
     return comb(n - 1, e - 1)
 
 

@@ -54,6 +54,7 @@ from .core import (
     BinaryOperation,
     FiniteChain,
     LinearOrder,
+    _ints_in,
     _json_rows,
     _unchecked_operation,
 )
@@ -164,12 +165,7 @@ class TableSpace:
 def _domains(n: int, values, cells) -> list[tuple[int, ...]]:
     """``values(i, j)`` for each of ``cells``, checked once for every table
     built from them: each value is an int, not a bool, in 1..n."""
-    domains = [tuple(values(i, j)) for i, j in cells]
-    for domain in domains:
-        for v in domain:
-            if type(v) is not int or not 1 <= v <= n:
-                raise ValueError(f"cell value {v!r} is not an integer in 1..{n}")
-    return domains
+    return [_ints_in(values(i, j), 1, n, "cell value") for i, j in cells]
 
 
 def _space(n: int, values) -> TableSpace:

@@ -15,6 +15,7 @@ from uninorms import (
     LinearOrder,
     PropertyProfile,
     contour_partition,
+    count_uninorms_by_neutral,
     fixture,
     format_table,
     isolated_points,
@@ -26,6 +27,7 @@ from uninorms import (
     restrict,
     table_from_json_dict,
     table_to_json_dict,
+    uninorm_from_gspec,
     verify_theorem,
 )
 from uninorms.oracle import enumerate_conservative
@@ -105,6 +107,58 @@ class TestChainSizeGuard:
     def test_verify_theorem(self, n):
         with pytest.raises(ValueError, match=exactly(f"chain size must be a positive integer, got {n!r}")):
             verify_theorem("main", n)
+
+
+# entry point: (what, lo, a call that puts the value v where a chain element
+# goes), each on the 3-chain; hi is 3 throughout
+_ELEMENT_SITES = {
+    "BinaryOperation": ("table entry", 1,
+                        lambda v: BinaryOperation(FiniteChain(3), ((1, 2, 3), (2, 2, 3), (3, 3, v)))),
+    "make_operation": ("table entry", 1,
+                       lambda v: make_operation(3, [[1, 2, 3], [2, 2, 3], [3, 3, v]])),
+    "LinearOrder": ("seq entry", 1, lambda v: LinearOrder(FiniteChain(3), [1, 2, v])),
+    "GSpec e": ("neutral element", 1, lambda v: GSpec(FiniteChain(3), v, (v,))),
+    "GSpec g": ("g value", 2, lambda v: GSpec(FiniteChain(3), 2, [v, 2])),
+    "count_uninorms_by_neutral": ("neutral element", 1, lambda v: count_uninorms_by_neutral(3, v)),
+    "restrict": ("subset element", 1, lambda v: restrict(max_op(3), [1, v])),
+}
+
+
+class TestElementGuard:
+    """A value that is not a chain element gets the one element rule's
+    one-line error at every entry point that takes one."""
+
+    @pytest.mark.parametrize("v", [0, 4, True, 2.0, "1"])
+    @pytest.mark.parametrize("site", _ELEMENT_SITES)
+    def test_entry_point(self, site, v):
+        what, lo, call = _ELEMENT_SITES[site]
+        with pytest.raises(ValueError, match=exactly(f"{what} {v!r} is not an integer in {lo}..3")):
+            call(v)
+
+    @pytest.mark.parametrize("as_list,as_tuple", [
+        (lambda: BinaryOperation(FiniteChain(2), [[1, 2], [2, 2]]),
+         lambda: BinaryOperation(FiniteChain(2), ((1, 2), (2, 2)))),
+        (lambda: make_operation(2, [[1, 2], [2, 2]]),
+         lambda: make_operation(2, ((1, 2), (2, 2)))),
+        (lambda: LinearOrder(FiniteChain(3), [2, 1, 3]),
+         lambda: LinearOrder(FiniteChain(3), (2, 1, 3))),
+        (lambda: GSpec(FiniteChain(4), 2, [3, 2]),
+         lambda: GSpec(FiniteChain(4), 2, (3, 2))),
+    ], ids=["BinaryOperation", "make_operation", "LinearOrder", "GSpec"])
+    def test_list_fields_are_stored_as_tuples(self, as_list, as_tuple):
+        built = as_list()
+        assert built == as_tuple()
+        assert hash(built) == hash(as_tuple())
+        assert type(built[-1]) is tuple  # the table, seq or g
+
+    def test_patchwork_of_a_list_g(self):
+        assert (uninorm_from_gspec(GSpec(FiniteChain(3), 2, [3, 2]))
+                == uninorm_from_gspec(GSpec(FiniteChain(3), 2, (3, 2))))
+
+    def test_restrict_takes_an_iterator(self):
+        sub, elements = restrict(max_op(3), iter([3, 1, 3]))
+        assert elements == (1, 3)
+        assert sub == max_op(2)
 
 
 class TestMakeOperation:
@@ -191,7 +245,7 @@ class TestRestrict:
                         assert sub(relabel[x], relabel[y]) == relabel[op(x, y)]
 
     def test_restrict_rejects_foreign_elements(self):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=exactly("subset element 5 is not an integer in 1..3")):
             restrict(max_op(3), {2, 5})
 
     def test_restrict_commutes_with_evaluation(self):
@@ -299,9 +353,9 @@ class TestOrders:
             parse_order("1 2 2")
 
     def test_bool_entry_rejected(self):
-        # sorted() alone would take True for 1, and the order maximum would
-        # then write True into a table it does not check
-        with pytest.raises(ValueError, match=exactly("seq entry True is not an integer")):
+        # True equals 1, and the order maximum would then write True into a
+        # table it does not check
+        with pytest.raises(ValueError, match=exactly("seq entry True is not an integer in 1..3")):
             order_to_uninorm(LinearOrder(FiniteChain(3), (True, 2, 3)))
 
 
@@ -318,22 +372,22 @@ class TestGSpec:
             GSpec(FiniteChain(4), 2, (3, 3))
 
     def test_rejects_out_of_band_values(self):
-        with pytest.raises(ValueError, match=exactly("g value 2 outside 3..4")):
+        with pytest.raises(ValueError, match=exactly("g value 2 is not an integer in 3..4")):
             GSpec(FiniteChain(4), 3, (2, 3, 3))
 
     def test_rejects_neutral_outside_the_chain(self):
-        with pytest.raises(ValueError, match=exactly("neutral element 5 outside 1..4")):
+        with pytest.raises(ValueError, match=exactly("neutral element 5 is not an integer in 1..4")):
             GSpec(FiniteChain(4), 5, (5, 5, 5, 5, 5))
 
     @pytest.mark.parametrize("e", [0, 4, True, 2.0])
     def test_rejects_a_neutral_element_not_an_int_in_the_chain(self, e):
         # the rule count_uninorms_by_neutral shares
-        with pytest.raises(ValueError, match=exactly(f"neutral element {e!r} outside 1..3")):
+        with pytest.raises(ValueError, match=exactly(f"neutral element {e!r} is not an integer in 1..3")):
             GSpec(FiniteChain(3), e, (e,))
 
     @pytest.mark.parametrize("e,g", [(1, (True,)), (2, (3, 2.0))])
     def test_rejects_a_non_int_g_value(self, e, g):
-        with pytest.raises(ValueError, match=exactly(f"g value {g[-1]!r} is not an integer")):
+        with pytest.raises(ValueError, match=exactly(f"g value {g[-1]!r} is not an integer in {e}..3")):
             GSpec(FiniteChain(3), e, g)
 
     def test_rejects_g_of_the_wrong_length(self):

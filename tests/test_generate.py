@@ -118,7 +118,7 @@ class TestCounting:
     def test_by_neutral_rejects_e_as_gspec_does(self, e):
         with pytest.raises(ValueError) as error:
             count_uninorms_by_neutral(3, e)
-        assert str(error.value) == f"neutral element {e!r} outside 1..3"
+        assert str(error.value) == f"neutral element {e!r} is not an integer in 1..3"
 
     def test_per_neutral_counts_sum_to_total(self):
         for n in range(1, 13):
