@@ -16,13 +16,19 @@ same equation with its two sides swapped, so (x, y, u, v) fails exactly when
 (x, u, y, v) fails; and when y = u both sides are the same term. So for every
 failing quadruple with u < y, the one with y and u exchanged fails too and
 comes first in lexicographic order: the first failing quadruple has y < u.
-The associativity and bisymmetry loops read each row they need once, outside
-the innermost loop; the tests compare both with plain ``op(x, y)`` loops.
+The associativity loop reads each row it needs once, outside the innermost
+loop. The bisymmetry loop has no loop over v: the row F(p, F(u, .)) depends on
+p and u only, so it is built once, on first use, and compared whole. For each
+x, y and u > y the quadruples (x, y, u, .) all hold exactly when the rows
+F(F(x,y), F(u, .)) and F(F(x,u), F(y, .)) are equal. The triples are still
+taken in lexicographic order, and the first differing entry of the first
+unequal pair is the smallest failing v, so the witness is still the first.
+The tests compare both loops with plain ``op(x, y)`` loops.
 """
 from __future__ import annotations
 
 from itertools import chain, combinations, compress, permutations, repeat
-from operator import eq
+from operator import eq, itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .core import BinaryOperation, FiniteChain, _cells, contour_partition, isolated_points
@@ -132,20 +138,36 @@ def is_associative(op: BinaryOperation) -> bool:
 def bisymmetry_witness(op: BinaryOperation) -> Optional[tuple[int, int, int, int]]:
     """First (x, y, u, v) with F(F(x,y),F(u,v)) != F(F(x,u),F(y,v)).
 
-    Only u > y is tried: the module docstring says why the first witness
-    still has u > y."""
+    Only u > y is tried, and every v at once, by one comparison of two
+    composition rows: the module docstring says why the witness is still the
+    first. The row F(p, F(u, .)) is row p with a 0 in front, read by an
+    ``itemgetter`` of the indices F(u, 1..n). Each row and each getter is
+    built on first use and kept until the call returns. A getter of one index
+    would return a scalar, but at n = 1 no u > y exists and none is built."""
     t = op.table
     n = len(t)
+    comps = [None] * (n * n + n + 1)  # comps[p*n + u]: the row F(p, F(u, .))
+    getters = [None] * (n + 1)  # getters[u] reads the row F(p, F(u, .)) off row p
     for x, rx in enumerate(t, 1):
         for y in range(1, n + 1):
-            a = t[rx[y - 1] - 1]  # F(F(x,y), .)
-            ty = t[y - 1]
+            fxy = rx[y - 1]
+            base = fxy * n
             for u in range(y + 1, n + 1):
-                b = t[rx[u - 1] - 1]  # F(F(x,u), .)
-                tu = t[u - 1]
-                for v in range(n):
-                    if a[tu[v] - 1] != b[ty[v] - 1]:
-                        return (x, y, u, v + 1)
+                a = comps[base + u]  # F(F(x,y), F(u, .))
+                if a is None:
+                    g = getters[u]
+                    if g is None:
+                        g = getters[u] = itemgetter(*t[u - 1])
+                    a = comps[base + u] = g((0,) + t[fxy - 1])
+                fxu = rx[u - 1]
+                b = comps[fxu * n + y]  # F(F(x,u), F(y, .))
+                if b is None:
+                    g = getters[y]
+                    if g is None:
+                        g = getters[y] = itemgetter(*t[y - 1])
+                    b = comps[fxu * n + y] = g((0,) + t[fxu - 1])
+                if a != b:
+                    return (x, y, u, list(map(eq, a, b)).index(False) + 1)
     return None
 
 

@@ -4,11 +4,13 @@ definitions written as plain ``op(x, y)`` loops in lexicographic order, and
 every table of the small spaces is compared."""
 from __future__ import annotations
 
+import random
 from functools import lru_cache
+from operator import itemgetter
 
 import pytest
 
-from uninorms import oracle
+from uninorms import oracle, properties
 from uninorms.core import (
     BinaryOperation,
     ContourPartition,
@@ -331,6 +333,73 @@ def test_identity_kernels_on_generated_uninorms_and_their_changes(kernel):
     assert None in got and max(w[0] for w in witnesses) >= 5
     if kernel == "bisymmetry_witness":
         assert max(u - y for _, y, u, _ in witnesses) >= 4
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_bisymmetry_witness_on_the_full_spaces_at_n_1_and_2(n, monkeypatch):
+    # an itemgetter of one index returns a scalar, not a row: at n = 1, where
+    # no u > y exists, the kernel builds none
+    built = []
+
+    def spy(*indices):
+        built.append(indices)
+        return itemgetter(*indices)
+
+    monkeypatch.setattr(properties, "itemgetter", spy)
+    ops = [_unchecked_operation(n, t) for t in oracle.full_space(n)]
+    got = [bisymmetry_witness(op) for op in ops]
+    assert got == [ref_bisymmetry_witness(op) for op in ops]
+    assert len(ops) == n ** (n * n) and None in got
+    if n == 1:
+        assert built == []
+    else:
+        assert len(set(got)) > 2 and {len(indices) for indices in built} == {2}
+
+
+def test_bisymmetry_witness_keeps_no_composition_row_between_calls():
+    # a bisymmetric table, then the same table with one cell changed, then the
+    # other way round: each answer is its own table's
+    op = next(op for op in _UNINORMS if op.n == 5)
+    calls = [table for changed in _changed(op) for table in (op, changed, changed, op)]
+    got = [bisymmetry_witness(table) for table in calls]
+    assert got == [ref_bisymmetry_witness(table) for table in calls]
+    assert got[::4] == got[3::4] == [None] * (len(calls) // 4)
+    assert sum(w is not None for w in got[1::4]) > len(calls) // 8
+
+
+def _bisymmetry_tables(tables: str) -> list[BinaryOperation]:
+    if tables == "uninorms-7-9":
+        return [op for n in (7, 8, 9) for op in generate_all_uninorms_gc(n)]
+    if tables == "uninorms-7-changed":
+        return [changed for op in generate_all_uninorms_gc(7) for changed in _changed(op)]
+    if tables == "random":
+        # n = 4..10 with uniform entries, as in the request stream
+        rng = random.Random(23)
+        return [_unchecked_operation(n, tuple(tuple(rng.randint(1, n) for _ in range(n))
+                                              for _ in range(n)))
+                for n in (rng.randint(4, 10) for _ in range(200))]
+    found = oracle._searched(5, oracle._neutral_parts(5), nondecreasing=True)[1]
+    return [_unchecked_operation(5, t) for t in found]
+
+
+@pytest.mark.parametrize("tables", ["uninorms-7-9", "uninorms-7-changed", "random", "mainb-5"])
+def test_bisymmetry_witness_at_scale(tables):
+    # full passes that reuse many composition rows (the uninorms), witnesses
+    # past x = 1 after such reuse (their changes), and early exits (random
+    # tables, and mainb's class at n = 5, most of it failing at (1, 1, u, v))
+    ops = _bisymmetry_tables(tables)
+    got = [bisymmetry_witness(op) for op in ops]
+    assert got == [ref_bisymmetry_witness(op) for op in ops]
+    witnesses = [w for w in got if w is not None]
+    if tables == "uninorms-7-9":
+        assert len(ops) == 64 + 128 + 256 and witnesses == []
+    elif tables == "uninorms-7-changed":
+        assert None in got and max(w[0] for w in witnesses) == 7
+    elif tables == "random":
+        assert len(witnesses) == 200 and {op.n for op in ops} == set(range(4, 11))
+    else:
+        assert len(ops) == 40088 and len(witnesses) == 40088 - 92
+        assert sum(w[:2] == (1, 1) for w in witnesses) > len(witnesses) // 2
 
 
 @pytest.mark.parametrize("tables", ["full3", "conservative4", "uninorms", "uninorms-changed"])
