@@ -58,8 +58,7 @@ from .core import (
     _json_rows,
     _unchecked_operation,
 )
-from .generate import (  # the gspec names stay here: bench/run.py's traced run wraps them
-    _gspec_sources,
+from .generate import (  # gspec_collision_report stays here: bench/run.py's traced run wraps it
     enumerate_gspecs,
     generate_all_uninorms_gc,
     gspec_collision_report,
@@ -804,31 +803,45 @@ def _verify_gc(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
 
 
 def _verify_qob(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
+    # One index of the contour algorithm's tables, against which the other two
+    # constructions stream: each indexed table keeps only how often a stream
+    # made it, and the tables a stream makes outside the index are counted
+    # apart (there are none when the claim holds). No round trip from the
+    # generated side: once every indexed table is made by some order and no
+    # order's table falls outside, each generated table is the table of some
+    # order, whose round trip is checked below, so a generated table's round
+    # trip cannot fail on its own.
+    index: dict[tuple, int] = {}
+    for op in generate_all_uninorms_gc(n):
+        index.setdefault(op.table, len(index))
     cex = []
-    orders = list(enumerate_single_peaked(n))
-    from_orders = set()
-    for order in orders:
-        if order.seq[-1] not in (1, n):
-            cex.append({"reason": f"ordering {order.seq} ends in {order.seq[-1]}"})
-        op = order_to_uninorm(order)
-        from_orders.add(op.table)
-        back = uninorm_to_order(op)
-        if back.seq != order.seq:
-            cex.append({"reason": f"round trip changed {order.seq} into {back.seq}"})
-    # No round trip from the generated side: once the sets below are equal,
-    # each generated table is the table of some order, whose round trip was
-    # checked above, so a generated table's round trip cannot fail on its own.
-    gc_tables = {op.table for op in generate_all_uninorms_gc(n)}
-    gspec_sources, gspec_collisions = _gspec_sources(n)
-    if from_orders != gc_tables:
+    seqs = []  # kept only for the n! filter
+
+    def order_tables():
+        for order in enumerate_single_peaked(n):
+            if n <= 8:
+                seqs.append(order.seq)
+            if order.seq[-1] not in (1, n):
+                cex.append({"reason": f"ordering {order.seq} ends in {order.seq[-1]}"})
+            op = order_to_uninorm(order)
+            back = uninorm_to_order(op)
+            if back.seq != order.seq:
+                cex.append({"reason": f"round trip changed {order.seq} into {back.seq}"})
+            yield op.table
+
+    by_order, order_strays = _count_against(index, order_tables())
+    if order_strays or 0 in by_order:
         cex.append({"reason": "order-maximum tables differ from the contour algorithm's"})
-    if gspec_sources.keys() != gc_tables:
+    by_spec, spec_strays = _count_against(
+        index, (uninorm_from_gspec(spec).table for spec in enumerate_gspecs(n)))
+    if spec_strays or 0 in by_spec:
         cex.append({"reason": "patchwork construction image differs from the contour algorithm's"})
+    made = [c for c in by_spec if c] + list(spec_strays.values())
     extras = {
-        "orders": len(orders),
-        "distinct_operations": len(gc_tables),
-        "gspec_image": len(gspec_sources),
-        "gspec_collisions": len(gspec_collisions),
+        "orders": sum(by_order) + sum(order_strays.values()),  # one table per order
+        "distinct_operations": len(index),
+        "gspec_image": len(made),
+        "gspec_collisions": sum(c > 1 for c in made),
     }
     if n <= 8:
         chain = FiniteChain(n)
@@ -839,9 +852,23 @@ def _verify_qob(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
             if single_peakedness_witness(LinearOrder(chain, seq)) is None
         ]
         extras["factorial_filtered"] = len(filtered)
-        if sorted(o.seq for o in orders) != sorted(filtered):
+        if sorted(seqs) != sorted(filtered):
             cex.append({"reason": "incremental enumeration disagrees with the n! filter"})
-    return len(orders), cex, extras
+    return extras["orders"], cex, extras
+
+
+def _count_against(index: dict, tables: Iterator) -> tuple[list[int], dict]:
+    """How often the stream makes each indexed table, by index slot, and how
+    often it makes each table outside the index."""
+    counts = [0] * len(index)
+    strays: dict[tuple, int] = {}
+    for t in tables:
+        i = index.get(t)
+        if i is None:
+            strays[t] = strays.get(t, 0) + 1
+        else:
+            counts[i] += 1
+    return counts, strays
 
 
 def _verify_rec8n(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:

@@ -27,7 +27,7 @@ The tests compare both loops with plain ``op(x, y)`` loops.
 """
 from __future__ import annotations
 
-from itertools import chain, combinations, compress, permutations, repeat
+from itertools import chain, combinations, permutations
 from operator import eq, itemgetter
 from typing import Iterator, NamedTuple, Optional
 
@@ -297,17 +297,19 @@ def find_neutral_via_sections(op: BinaryOperation) -> Optional[NeutralSections]:
     crossing point of the two sections is the neutral element.
 
     It reads the level sets, not the table: e qualifies when, for every x,
-    the level set of value x contains both (x, e) and (e, x). The level sets
-    are read one at a time, for x = 1, 2, ..., each keeping the candidates e
-    that it holds both points of; the first level set that leaves no
-    candidate ends the test. A neutral element is unique, so at most one
-    candidate is left after the last level set."""
+    the level set of value x contains both (x, e) and (e, x). One pass over
+    the cells sorts them into their level sets; the sets are then read one
+    at a time, for x = 1, 2, ..., each keeping the candidates e that it
+    holds both points of; the first level set that leaves no candidate ends
+    the test. A neutral element is unique, so at most one candidate is left
+    after the last level set."""
     n = op.n
-    cells = _cells(n)
-    flat = tuple(chain.from_iterable(op.table))
+    levels: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for p, v in zip(_cells(n), chain.from_iterable(op.table)):
+        levels[v].append(p)
     candidates = range(1, n + 1)
     for x in range(1, n + 1):
-        level = tuple(compress(cells, map(eq, flat, repeat(x))))
+        level = levels[x]
         candidates = [e for e in candidates if (x, e) in level and (e, x) in level]
         if not candidates:
             return None

@@ -128,16 +128,18 @@ def order_to_uninorm(order: LinearOrder) -> BinaryOperation:
         raise ValueError(f"ordering is not single-peaked, witness triple {w}")
     n = order.n
     # Row x is the identity row with x written at the elements ranked at or
-    # below x. Walking up the ordering, each element's index is pointed at
-    # the last slot of `src`, which holds the current x. Every entry is x or
-    # y in 1..n, so the table needs no check.
-    src = list(range(1, n + 2))
-    index = list(range(n))
+    # below x: the prefix of the ordering that ends at x, which is an
+    # interval [lo, hi] of the chain since the ordering is single-peaked.
+    # Every entry is x or y in 1..n, so the table needs no check.
+    ids = tuple(range(1, n + 1))
     rows: list[tuple[int, ...]] = [()] * n
+    lo = hi = order.seq[0]
     for x in order.seq:
-        index[x - 1] = n
-        src[n] = x
-        rows[x - 1] = tuple(map(src.__getitem__, index))
+        if x < lo:
+            lo = x
+        elif x > hi:
+            hi = x
+        rows[x - 1] = ids[:lo - 1] + (x,) * (hi - lo + 1) + ids[hi:]
     return _unchecked_operation(n, tuple(rows))
 
 

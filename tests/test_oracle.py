@@ -3,8 +3,9 @@ import json
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from concurrent import futures
-from itertools import chain
+from itertools import chain, islice, permutations
 from math import comb
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, strategies as st
 from uninorms import (
     BinaryOperation,
     FiniteChain,
+    LinearOrder,
     enumerate_all_operations,
     enumerate_conservative,
     enumerate_nondecreasing,
@@ -471,6 +473,137 @@ class TestVerifyTheorem:
         a.pop("runtime_seconds")
         b.pop("runtime_seconds")
         assert a == b
+
+
+def _set_based_qob(n, seed, jobs):
+    """``qob`` with all three images kept as full sets and then compared. It
+    calls the constructions through ``oracle``, so a fault patched in there
+    reaches both this and the claim."""
+    cex = []
+    orders = list(oracle.enumerate_single_peaked(n))
+    from_orders = set()
+    for order in orders:
+        if order.seq[-1] not in (1, n):
+            cex.append({"reason": f"ordering {order.seq} ends in {order.seq[-1]}"})
+        op = oracle.order_to_uninorm(order)
+        from_orders.add(op.table)
+        back = oracle.uninorm_to_order(op)
+        if back.seq != order.seq:
+            cex.append({"reason": f"round trip changed {order.seq} into {back.seq}"})
+    gc_tables = {op.table for op in oracle.generate_all_uninorms_gc(n)}
+    sources = {}
+    for spec in oracle.enumerate_gspecs(n):
+        sources.setdefault(oracle.uninorm_from_gspec(spec).table, []).append(spec)
+    if from_orders != gc_tables:
+        cex.append({"reason": "order-maximum tables differ from the contour algorithm's"})
+    if sources.keys() != gc_tables:
+        cex.append({"reason": "patchwork construction image differs from the contour algorithm's"})
+    extras = {
+        "orders": len(orders),
+        "distinct_operations": len(gc_tables),
+        "gspec_image": len(sources),
+        "gspec_collisions": sum(len(v) > 1 for v in sources.values()),
+    }
+    if n <= 8:
+        c = FiniteChain(n)
+        filtered = [seq for seq in permutations(range(1, n + 1))
+                    if oracle.single_peakedness_witness(LinearOrder(c, seq)) is None]
+        extras["factorial_filtered"] = len(filtered)
+        if sorted(o.seq for o in orders) != sorted(filtered):
+            cex.append({"reason": "incremental enumeration disagrees with the n! filter"})
+    return len(orders), cex, extras
+
+
+def _qob_and_set_based_reports(monkeypatch, n):
+    got = verify_theorem("qob", n)
+    with monkeypatch.context() as m:
+        bound, summary, _ = oracle._CATALOG["qob"]
+        m.setitem(oracle._CATALOG, "qob", (bound, summary, _set_based_qob))
+        want = verify_theorem("qob", n)
+    for report in (got, want):
+        report.pop("runtime_seconds")
+    return got, want
+
+
+def _drop_a_generated_table(monkeypatch, n):
+    gc = oracle.generate_all_uninorms_gc
+    monkeypatch.setattr(oracle, "generate_all_uninorms_gc", lambda n: list(gc(n))[:-1])
+
+
+def _repeat_a_generated_table(monkeypatch, n):
+    gc = oracle.generate_all_uninorms_gc
+    monkeypatch.setattr(oracle, "generate_all_uninorms_gc",
+                        lambda n: [*gc(n), next(gc(n))])
+
+
+def _give_an_order_another_orders_table(monkeypatch, n):
+    to_uninorm = oracle.order_to_uninorm
+    first, second = islice(oracle.enumerate_single_peaked(n), 2)
+    monkeypatch.setattr(oracle, "order_to_uninorm",
+                        lambda o: to_uninorm(second if o == first else o))
+
+
+def _make_a_table_outside_the_image(monkeypatch, n, specs=1):
+    from_gspec = oracle.uninorm_from_gspec
+    firsts = list(islice(oracle.enumerate_gspecs(n), specs))
+    constant = _unchecked_operation(n, ((1,) * n,) * n)  # not idempotent
+    monkeypatch.setattr(oracle, "uninorm_from_gspec",
+                        lambda spec: constant if spec in firsts else from_gspec(spec))
+
+
+def _make_a_table_outside_the_image_from_two_specs(monkeypatch, n):
+    _make_a_table_outside_the_image(monkeypatch, n, specs=2)
+
+
+def _make_one_table_from_two_specs(monkeypatch, n):
+    from_gspec = oracle.uninorm_from_gspec
+    first, second = islice(oracle.enumerate_gspecs(n), 2)
+    monkeypatch.setattr(oracle, "uninorm_from_gspec",
+                        lambda spec: from_gspec(first if spec == second else spec))
+
+
+class TestQob:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_report_is_the_set_based_one(self, monkeypatch, n):
+        got, want = _qob_and_set_based_reports(monkeypatch, n)
+        assert got == want
+        assert got["ok"]
+
+    # (fault, whether the claim still holds): a table generated twice is
+    # still one of the 2^(n-1) distinct operations
+    @pytest.mark.parametrize("fault, ok", [
+        (_drop_a_generated_table, False),
+        (_repeat_a_generated_table, True),
+        (_give_an_order_another_orders_table, False),
+        (_make_a_table_outside_the_image, False),
+        (_make_a_table_outside_the_image_from_two_specs, False),
+        (_make_one_table_from_two_specs, False),
+    ])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_a_fault_gives_the_set_based_report(self, monkeypatch, fault, ok, n):
+        fault(monkeypatch, n)
+        got, want = _qob_and_set_based_reports(monkeypatch, n)
+        assert got == want
+        assert got["ok"] is ok
+
+    def test_peak_memory_is_about_one_set_of_tables(self):
+        # the contour algorithm's tables are indexed once; the other two
+        # constructions stream against the index
+        n = 10
+
+        def build():
+            return {op.table for op in generate_all_uninorms_gc(n)}
+
+        def peak(f):
+            tracemalloc.start()
+            try:
+                f()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        build(), verify_theorem("qob", n)  # load the imports and caches first
+        assert peak(lambda: verify_theorem("qob", n)) <= 1.5 * peak(build)
 
 
 class TestProbe:

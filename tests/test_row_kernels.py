@@ -245,10 +245,12 @@ def test_the_kernels_see_both_answers():
 _UNINORMS = [op for n in range(1, 9) for op in generate_all_uninorms_gc(n)]
 
 
-@pytest.mark.parametrize("kernel", ["contour_partition", "isolated_points"])
+@pytest.mark.parametrize("kernel", ["contour_partition", "find_neutral_via_sections",
+                                    "isolated_points"])
 def test_level_set_kernels_on_generated_uninorms(kernel):
     # n up to 8, beyond the small spaces' sizes; each uninorm has one
     # isolated point, its neutral element, so no table takes the early return
+    # of isolated_points, and find_neutral_via_sections reads every level set
     fast, ref = _KERNELS[kernel]
     mismatches = [op.table for op in _UNINORMS if fast(op) != ref(op)]
     assert mismatches == []

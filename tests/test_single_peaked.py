@@ -214,6 +214,23 @@ class TestOrderToUninorm:
         assert results == [ref(o) for o in orders]
         assert sum(isinstance(r, tuple) for r in results) == 2 ** (n - 1)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_the_pointer_walk(self, n):
+        def pointer_walk(o):
+            # row x: each element ranked at or below x points at the last
+            # slot of src, which holds x
+            src = list(range(1, n + 2))
+            index = list(range(n))
+            rows = [()] * n
+            for x in o.seq:
+                index[x - 1] = n
+                src[n] = x
+                rows[x - 1] = tuple(map(src.__getitem__, index))
+            return tuple(rows)
+
+        for o in enumerate_single_peaked(n):
+            assert order_to_uninorm(o).table == pointer_walk(o), o.seq
+
 
 class TestUninormToOrder:
     def test_max_gives_natural_order(self):
