@@ -9,8 +9,9 @@ which keeps the tables that meet the class's identities and decides every
 other table of the space by pruning the subtree it lies in (at n = 5 it
 visits 12,391 nodes to decide all 2^20 conservative tables and keep the 1,182
 associative ones). The search yields each table it keeps as soon as the
-table is complete: an enumerator streams it, and a claim drains it for the
-tables and the number decided. A search runs in the calling process
+table is complete, and returns the number of tables decided: an enumerator
+streams the tables, and a claim streams them into its check, keeping none,
+and reads the number decided at the end. A search runs in the calling process
 whatever the worker count; ``--jobs`` splits only the whole-space scans,
 one contiguous index range per worker, whose results merge in range order,
 so every report is the one a single process makes.
@@ -254,7 +255,7 @@ def _search(n: int, values, mirror: bool = False, identities=(),
     Yields each table kept as soon as it is complete, and returns decided: the
     number of tables found plus the size of every pruned subtree, summed as
     the search goes, so it equals the size of the space only if the search
-    accounted for every table. ``_drain`` collects both."""
+    accounted for every table."""
     cells = [(i, j) for i in range(n) for j in range(i if mirror else 0, n)]
     domains = [[v - 1 for v in domain] for domain in _domains(n, values, cells)]
     # below[k]: the tables under one assignment of the cells before k
@@ -303,7 +304,10 @@ def _search(n: int, values, mirror: bool = False, identities=(),
                     or (j < n - 1 and 0 <= tab[i * n + j + 1] < v))
 
     def settle(k: int, parked: list) -> bool:
-        for instance in watch[k]:
+        # newest first, which meets a failing instance after fewer reads in
+        # the catalog's searches; the order of reads changes neither which
+        # instances are parked on k nor whether one of them fails
+        for instance in reversed(watch[k]):
             cell = read(instance)
             if cell == -1:
                 return False
@@ -354,16 +358,6 @@ def _search(n: int, values, mirror: bool = False, identities=(),
         return decided
 
     return extend()
-
-
-def _drain(search: Generator[tuple, None, int]) -> tuple[int, list]:
-    """(decided, tables) of a search run to its end."""
-    tables = []
-    try:
-        while True:
-            tables.append(next(search))
-    except StopIteration as end:
-        return end.value, tables
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +500,19 @@ def _idempotent_neutral_parts(n: int) -> list:
     return [_idempotent(values) for values in _neutral_parts(n)]
 
 
-def _searched(n: int, parts, **constraints) -> tuple[int, list]:
-    """(decided, tables) of a search of each of ``parts`` in turn."""
-    runs = [_drain(_search(n, values, **constraints)) for values in parts]
-    return sum(decided for decided, _ in runs), [t for _, found in runs for t in found]
+class _SearchStream:
+    """The tables that a search of each of ``parts`` in turn keeps, as one
+    stream in search order, for one pass that holds no table past its turn;
+    once the pass ends, ``decided`` is the number of tables the searches
+    decided."""
+
+    def __init__(self, n: int, parts, **constraints):
+        self.n, self.parts, self.constraints = n, parts, constraints
+        self.decided = 0
+
+    def __iter__(self) -> Iterator[tuple]:
+        for values in self.parts:
+            self.decided += yield from _search(self.n, values, **self.constraints)
 
 
 def _sized(n: int, parts, mirror: bool) -> Iterator[tuple[int, list, list]]:
@@ -728,10 +731,12 @@ def _scan(check, parts, sampled: bool = False, **constraints):
     """Runner that tallies ``check`` over the class ``parts(n)``, each part
     the cell domains of one search under ``constraints`` (the ``_search``
     keywords, ``mirror`` among them), whose tables decided are the
-    candidates. A class with no constraints is the whole space of its one
-    part instead, swept over ``jobs`` workers. A sampled class is drawn past
-    chain size 4: the draws of its parts that the constraints accept, each
-    searched as a space of one table, are tallied."""
+    candidates. The searches of the parts stream their tables into the
+    tally as one stream, in order, and no table is kept past its check. A
+    class with no constraints is the whole space of its one part instead,
+    swept over ``jobs`` workers. A sampled class is drawn past chain size 4:
+    the draws of its parts that the constraints accept, each searched as a
+    space of one table, are tallied."""
     def run(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
         if not constraints:
             [values] = parts(n)
@@ -739,46 +744,73 @@ def _scan(check, parts, sampled: bool = False, **constraints):
             return merged["checked"], merged["counterexamples"], {"stats": merged["stats"]}
         if sampled and n > 4:
             drawn = _draw(parts(n), n, seed, constraints.get("mirror", False))
-            kept = [t for t in drawn if _searched(n, [lambda i, j: (t[i][j],)], **constraints)[1]]
+            kept = (t for t in drawn
+                    if next(_search(n, lambda i, j: (t[i][j],), **constraints), None) is not None)
             part = _tally(kept, check, n)
             return SAMPLE_SIZE, part["counterexamples"], {
                 "stats": {"prefiltered": len(drawn), **part["stats"]}, "seed": seed}
-        candidates, tables = _searched(n, parts(n), **constraints)
+        tables = _SearchStream(n, parts(n), **constraints)
         part = _tally(tables, check, n)
-        return candidates, part["counterexamples"], {"stats": part["stats"]}
+        return tables.decided, part["counterexamples"], {"stats": part["stats"]}
     return run
 
 
-def _compare_generated(n: int, found: list, generated: frozenset) -> list[dict]:
-    """Counterexamples both ways: found tables that are never generated, in
-    search order, then generated tables that the search did not find."""
-    cex = [{"table": _json_rows(t), "reason": "passes the axioms but is never generated"}
-           for t in found if t not in generated]
-    for t in sorted(generated.difference(found)):
+def _key(table) -> bytes:
+    """One bytes string for a table, its rows run together. At n = 12 it
+    takes about 180 B where the tuple of row tuples takes about 2 KB, its
+    hash is cached, and keys of one chain size sort as their tables do. An
+    entry past 255 raises ValueError rather than wrap. Joining the rows'
+    bytes is the faster way measured: 2.3 µs per table at n = 12, against
+    2.8 µs for bytes of the chained entries."""
+    return b"".join(map(bytes, table))
+
+
+def _compare_generated(n: int, found, generated: set) -> tuple[int, list[dict]]:
+    """The number of tables the stream ``found`` makes, and the
+    counterexamples both ways against ``generated``, the ``_key`` of each
+    generated table: found tables that are never generated, in search
+    order, each looked up as it comes, then generated tables that the
+    search did not find, in table order, each decoded from its key."""
+    cex = []
+    hits = set()
+    count = 0
+    for count, t in enumerate(found, 1):
+        key = _key(t)
+        if key in generated:
+            hits.add(key)
+        else:
+            cex.append({"table": _json_rows(t),
+                        "reason": "passes the axioms but is never generated"})
+    for key in sorted(generated - hits):
+        t = tuple(tuple(key[i:i + n]) for i in range(0, n * n, n))
         op = _unchecked_operation(n, t)
         fails = not (is_conservative(op) and is_symmetric(op) and is_nondecreasing(op))
         cex.append({"table": _json_rows(t),
                     "reason": "generated but fails the axioms" if fails
                     else "generated and passes the axioms, but the search did not find it"})
-    return cex
+    return count, cex
 
 
 def _verify_main(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
-    generated = frozenset(op.table for op in generate_all_uninorms_gc(n))
-    decided, found = _searched(n, [_conservative], mirror=True, nondecreasing=True)
-    return decided, _compare_generated(n, found, generated), {
-        "brute_force_count": len(found), "generated_count": len(generated)}
+    generated = {_key(op.table) for op in generate_all_uninorms_gc(n)}
+    found = _SearchStream(n, [_conservative], mirror=True, nondecreasing=True)
+    count, cex = _compare_generated(n, found, generated)
+    return found.decided, cex, {"brute_force_count": count, "generated_count": len(generated)}
 
 
 def _verify_main2n(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
-    tables = [op.table for op in generate_all_uninorms_gc(n)]
-    distinct = len(set(tables))
+    keys = set()
+    generated = 0
+    for op in generate_all_uninorms_gc(n):
+        generated += 1
+        keys.add(_key(op.table))
+    distinct = len(keys)
     expected = 2 ** (n - 1)
     cex = []
-    if len(tables) != expected or distinct != expected:
-        cex.append({"reason": f"generator yielded {len(tables)} tables "
+    if generated != expected or distinct != expected:
+        cex.append({"reason": f"generator yielded {generated} tables "
                               f"({distinct} distinct), expected {expected}"})
-    return len(tables), cex, {"generated": len(tables), "distinct": distinct, "expected": expected}
+    return generated, cex, {"generated": generated, "distinct": distinct, "expected": expected}
 
 
 def _verify_gc(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
@@ -803,17 +835,17 @@ def _verify_gc(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
 
 
 def _verify_qob(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
-    # One index of the contour algorithm's tables, against which the other two
-    # constructions stream: each indexed table keeps only how often a stream
-    # made it, and the tables a stream makes outside the index are counted
-    # apart (there are none when the claim holds). No round trip from the
-    # generated side: once every indexed table is made by some order and no
-    # order's table falls outside, each generated table is the table of some
-    # order, whose round trip is checked below, so a generated table's round
-    # trip cannot fail on its own.
-    index: dict[tuple, int] = {}
+    # One index of the contour algorithm's tables, each by its _key, against
+    # which the other two constructions stream: each indexed table keeps only
+    # how often a stream made it, and the tables a stream makes outside the
+    # index are counted apart (there are none when the claim holds). No round
+    # trip from the generated side: once every indexed table is made by some
+    # order and no order's table falls outside, each generated table is the
+    # table of some order, whose round trip is checked below, so a generated
+    # table's round trip cannot fail on its own.
+    index: dict[bytes, int] = {}
     for op in generate_all_uninorms_gc(n):
-        index.setdefault(op.table, len(index))
+        index.setdefault(_key(op.table), len(index))
     cex = []
     seqs = []  # kept only for the n! filter
 
@@ -858,14 +890,16 @@ def _verify_qob(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
 
 
 def _count_against(index: dict, tables: Iterator) -> tuple[list[int], dict]:
-    """How often the stream makes each indexed table, by index slot, and how
-    often it makes each table outside the index."""
+    """How often the stream makes each table of ``index``, which maps the
+    ``_key`` of each table to its slot, by slot, and how often it makes each
+    table outside the index, by key: the strays are only counted."""
     counts = [0] * len(index)
-    strays: dict[tuple, int] = {}
+    strays: dict[bytes, int] = {}
     for t in tables:
-        i = index.get(t)
+        key = _key(t)
+        i = index.get(key)
         if i is None:
-            strays[t] = strays.get(t, 0) + 1
+            strays[key] = strays.get(key, 0) + 1
         else:
             counts[i] += 1
     return counts, strays
@@ -961,7 +995,10 @@ def verify_theorem(name: str, n: int, seed: int = 0, jobs: int = 1) -> dict:
     ``bis-a`` and ``bis-b`` at n = 5, which are fixed-seed samples drawn in
     this process from the cell domains of the class: ``seed`` reaches only
     those. ``jobs`` splits only the whole-space scans, one index range per
-    worker process. The report is deterministic for fixed (name, n, seed),
+    worker process. No claim holds its tables: a scan or a search streams
+    each table into the check, and the construction claims (``main``,
+    ``main2n``, ``qob``) keep one ``_key`` per generated table, not the
+    table. The report is deterministic for fixed (name, n, seed),
     regardless of the number of workers. ``name`` must be a str, ``n`` a
     chain size that ``FiniteChain`` accepts, and ``seed`` and ``jobs`` ints,
     not bools."""
@@ -1002,25 +1039,29 @@ def probe_open_questions(n: int) -> dict:
 
     * counts of conservative / conservative+associative tables, and of
       conservative+symmetric / conservative+symmetric+associative tables
-      (exact): a pruned search of each space keeps the associative tables
-      and decides every other table by pruning, and the space counts are
-      the tables it decided, not a formula;
+      (exact): a pruned search of each space keeps the associative tables,
+      which are counted and not kept, and decides every other table by
+      pruning, and the space counts are the tables it decided, not a
+      formula;
     * symmetric bisymmetric tables lacking associativity or a neutral
       element, the first ``_MAX_COUNTEREXAMPLES`` of them listed: a pruned
-      search decides every symmetric table up to n = 4. At n = 5 this part
-      is not run, and ``c`` says so.
+      search decides every symmetric table up to n = 4 and streams the
+      tables it keeps into the check. At n = 5 this part is not run, and
+      ``c`` says so.
     """
     _feasible(n, 5, "conservative operations", "2^(n^2-n)")
-    cons, cons_assoc = _drain(_search(n, _conservative, identities=(_ASSOCIATIVITY,)))
-    sym, sym_assoc = _drain(_search(n, _conservative, mirror=True, identities=(_ASSOCIATIVITY,)))
+    cons = _SearchStream(n, [_conservative], identities=(_ASSOCIATIVITY,))
+    cons_assoc = sum(1 for _ in cons)
+    sym = _SearchStream(n, [_conservative], mirror=True, identities=(_ASSOCIATIVITY,))
+    sym_assoc = sum(1 for _ in sym)
     if n > 4:
         part_c = ("searched only up to n = 4: at n = 5 no search of the "
                   "symmetric bisymmetric tables fits a desk budget")
     else:
-        examined, tables = _drain(_search(n, _full(n), mirror=True, identities=(_BISYMMETRY,)))
+        tables = _SearchStream(n, [_full(n)], mirror=True, identities=(_BISYMMETRY,))
         found = _tally(tables, _check_probe_c, n)
         part_c = {
-            "symmetric_tables_examined": examined,
+            "symmetric_tables_examined": tables.decided,
             "stats": found["stats"],
             "findings": [{"table": c["table"], "finding": c["reason"]}
                          for c in found["counterexamples"]],
@@ -1029,10 +1070,10 @@ def probe_open_questions(n: int) -> dict:
     return {
         "n": n,
         "a": {
-            "conservative": cons,
-            "conservative_associative": len(cons_assoc),
-            "conservative_symmetric": sym,
-            "conservative_symmetric_associative": len(sym_assoc),
+            "conservative": cons.decided,
+            "conservative_associative": cons_assoc,
+            "conservative_symmetric": sym.decided,
+            "conservative_symmetric_associative": sym_assoc,
         },
         "b": "no graphical bisymmetry test is known for non-symmetric "
              "conservative operations; the symmetric case reduces to the "

@@ -38,6 +38,25 @@ from uninorms.oracle import _ASSOCIATIVITY, _BISYMMETRY
 
 from test_core import max_op, tables
 
+
+def _decided_and_kept(n, parts, **constraints):
+    """(decided, tables) of the search stream of ``parts``, run to its end."""
+    stream = oracle._SearchStream(n, parts, **constraints)
+    kept = list(stream)
+    return stream.decided, kept
+
+
+def _peak(f) -> int:
+    """The traced peak, in bytes, of a call of ``f``, after a first call that
+    loads the imports and caches it needs."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 # the whole spaces the catalog scans
 _WHOLE_SPACES = {
     "full": oracle.full_space,
@@ -138,9 +157,9 @@ class TestEnumerators:
     def test_nondecreasing_with_neutral_source(self, n, count):
         # prel34's class, idempotent + neutral + nondecreasing, against the
         # idempotent tables of mainb's class, neutral + nondecreasing, in order
-        decided, found = oracle._searched(n, oracle._idempotent_neutral_parts(n),
-                                          nondecreasing=True)
-        wider = oracle._searched(n, oracle._neutral_parts(n), nondecreasing=True)[1]
+        decided, found = _decided_and_kept(n, oracle._idempotent_neutral_parts(n),
+                                           nondecreasing=True)
+        wider = list(oracle._SearchStream(n, oracle._neutral_parts(n), nondecreasing=True))
         assert found == [t for t in wider if is_idempotent(_unchecked_operation(n, t))]
         assert len(found) == count
         assert decided == n * n ** ((n - 1) * (n - 2))
@@ -277,15 +296,15 @@ class TestVerifyTheorem:
         # the search loses its last table and repeats its first, so the count
         # still matches and only the comparison from the generated side sees it
         from uninorms import oracle
-        search = oracle._search
 
-        def lossy(*args, **kwargs):
-            decided, tables = oracle._drain(search(*args, **kwargs))
-            yield from tables[:-1] + tables[:1]
-            return decided
+        class Lossy(oracle._SearchStream):
+            def __iter__(self):
+                tables = list(super().__iter__())
+                yield from tables[:-1] + tables[:1]
 
-        last = list(search(4, oracle._conservative, mirror=True, nondecreasing=True))[-1]
-        monkeypatch.setattr(oracle, "_search", lossy)
+        last = list(oracle._SearchStream(4, [oracle._conservative], mirror=True,
+                                         nondecreasing=True))[-1]
+        monkeypatch.setattr(oracle, "_SearchStream", Lossy)
         report = verify_theorem("main", 4)
         assert not report["ok"]
         assert report["counterexamples"] == [{
@@ -586,24 +605,37 @@ class TestQob:
         assert got == want
         assert got["ok"] is ok
 
-    def test_peak_memory_is_about_one_set_of_tables(self):
-        # the contour algorithm's tables are indexed once; the other two
-        # constructions stream against the index
+    def test_peak_memory_is_below_half_a_set_of_tables(self):
+        # the contour algorithm's tables are indexed once, each by one bytes
+        # key; the other two constructions stream against the index
         n = 10
+        tables = _peak(lambda: {op.table for op in generate_all_uninorms_gc(n)})
+        assert _peak(lambda: verify_theorem("qob", n)) < tables / 2
 
-        def build():
-            return {op.table for op in generate_all_uninorms_gc(n)}
 
-        def peak(f):
-            tracemalloc.start()
-            try:
-                f()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+class TestMemory:
+    """No claim holds its tables: a search streams each table it keeps into
+    the check, and a construction claim keeps one bytes key per table."""
 
-        build(), verify_theorem("qob", n)  # load the imports and caches first
-        assert peak(lambda: verify_theorem("qob", n)) <= 1.5 * peak(build)
+    def test_keys_sort_as_their_tables_and_reject_an_entry_past_255(self):
+        tables = [op.table for op in generate_all_uninorms_gc(6)]
+        keys = [oracle._key(t) for t in tables]
+        assert len(set(keys)) == len(tables)
+        order = range(len(tables))
+        assert sorted(order, key=keys.__getitem__) == sorted(order, key=tables.__getitem__)
+        with pytest.raises(ValueError):
+            oracle._key(((1, 256), (256, 2)))
+
+    def test_mainb_holds_no_kept_table(self):
+        def keep():
+            return list(oracle._SearchStream(4, oracle._neutral_parts(4), nondecreasing=True))
+
+        assert len(keep()) == 346
+        assert _peak(lambda: verify_theorem("mainb", 4)) < _peak(keep) / 2
+
+    def test_main2n_holds_a_key_per_table(self):
+        tables = _peak(lambda: {op.table for op in generate_all_uninorms_gc(10)})
+        assert _peak(lambda: verify_theorem("main2n", 10)) < tables / 2
 
 
 class TestProbe:
@@ -734,14 +766,14 @@ class TestClassDigests:
     # the searches of the constructions, which hand their tables to no
     # check: (search, n): (tables, sha256 of repr(sorted(tables)))
     _SEARCHES = {
-        "main": lambda n: oracle._searched(n, [oracle._conservative], mirror=True,
-                                           nondecreasing=True)[1],
-        "open-questions a": lambda n: oracle._drain(oracle._search(
-            n, oracle._conservative, identities=(_ASSOCIATIVITY,)))[1],
-        "open-questions a, symmetric": lambda n: oracle._drain(oracle._search(
-            n, oracle._conservative, mirror=True, identities=(_ASSOCIATIVITY,)))[1],
-        "open-questions c": lambda n: oracle._drain(oracle._search(
-            n, oracle._full(n), mirror=True, identities=(_BISYMMETRY,)))[1],
+        "main": lambda n: list(oracle._SearchStream(n, [oracle._conservative], mirror=True,
+                                                    nondecreasing=True)),
+        "open-questions a": lambda n: list(oracle._SearchStream(
+            n, [oracle._conservative], identities=(_ASSOCIATIVITY,))),
+        "open-questions a, symmetric": lambda n: list(oracle._SearchStream(
+            n, [oracle._conservative], mirror=True, identities=(_ASSOCIATIVITY,))),
+        "open-questions c": lambda n: list(oracle._SearchStream(
+            n, [oracle._full(n)], mirror=True, identities=(_BISYMMETRY,))),
     }
     _SEARCH_DIGESTS = {
         ("main", 3): (4, "8818b08e2800730b8f1187abbc8e7d049de7210daced881731ff58b3b66d2852"),
@@ -879,7 +911,7 @@ class TestSearch:
         for values in domains:
             space = list(mirrored_product(n, values) if args.get("mirror")
                          else oracle._space(n, values))
-            decided, found = oracle._drain(oracle._search(n, values, **args))
+            decided, found = _decided_and_kept(n, [values], **args)
             kept = [t for t in space if check(_unchecked_operation(n, t))]
             bad += found != kept or decided != len(space)
         return bad

@@ -272,7 +272,7 @@ def test_prel34_check_matches_its_definition():
 
     # prel34's class at n = 4, then the idempotent tables with a neutral
     # element at n = 3, nondecreasing or not, so that some fail
-    found = oracle._searched(4, oracle._idempotent_neutral_parts(4), nondecreasing=True)[1]
+    found = oracle._SearchStream(4, oracle._idempotent_neutral_parts(4), nondecreasing=True)
     ops = [_unchecked_operation(4, t) for t in found] + [
         op for op in (_unchecked_operation(3, t) for t in _SPACES["idempotent3"]())
         if ref_find_neutral_element(op)]
@@ -380,7 +380,7 @@ def _bisymmetry_tables(tables: str) -> list[BinaryOperation]:
         return [_unchecked_operation(n, tuple(tuple(rng.randint(1, n) for _ in range(n))
                                               for _ in range(n)))
                 for n in (rng.randint(4, 10) for _ in range(200))]
-    found = oracle._searched(5, oracle._neutral_parts(5), nondecreasing=True)[1]
+    found = oracle._SearchStream(5, oracle._neutral_parts(5), nondecreasing=True)
     return [_unchecked_operation(5, t) for t in found]
 
 
