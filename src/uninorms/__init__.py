@@ -5,6 +5,8 @@ graphical counterparts, contour-plot rendering, and brute-force verification
 of every characterization at small chain sizes.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     BinaryOperation,
     ContourPartition,
@@ -35,7 +37,6 @@ from .generate import (
 )
 from .oracle import (
     PropertyProfile,
-    enumerate_all_operations,
     enumerate_conservative,
     enumerate_nondecreasing,
     probe_open_questions,
@@ -56,13 +57,11 @@ from .properties import (
     is_associative,
     is_associative_conservative_rect,
     is_bisymmetric,
-    is_bisymmetric_via_rect,
     is_conservative,
     is_conservative_via_contour,
     is_idempotent,
     is_nondecreasing,
     is_symmetric,
-    isolated_implies_diagonal_check,
     isolated_points,
     monotonicity_witness,
     rect_associativity_witness,
@@ -82,4 +81,6 @@ from .single_peaked import (
     uninorm_to_order,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules that importing them binds
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

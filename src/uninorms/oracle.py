@@ -185,6 +185,7 @@ def _neutral(n: int, e: int):
     return lambda i, j: (j + 1,) if i == e - 1 else (i + 1,) if j == e - 1 else range(1, n + 1)
 
 
+# full_space and conservative_space stay public: bench/layers.py samples them
 def full_space(n: int) -> TableSpace:
     return _space(n, _full(n))
 
@@ -363,25 +364,12 @@ def _search(n: int, values, mirror: bool = False, identities=(),
 # ---------------------------------------------------------------------------
 # public enumerators (hard feasibility bounds)
 
-def enumerate_all_operations(n: int) -> Iterator[BinaryOperation]:
-    """All n^(n^2) total tables, lexicographic by table entries; n <= 3."""
-    _feasible(n, 3, "all operations", "n^(n^2)")
-    for t in full_space(n):
-        yield _unchecked_operation(n, t)
-
-
-def enumerate_conservative(n: int, symmetric_only: bool = False) -> Iterator[BinaryOperation]:
+def enumerate_conservative(n: int) -> Iterator[BinaryOperation]:
     """All conservative tables (diagonal forced, each off-diagonal cell one of
     its two coordinates), lexicographic by table entries: 2^(n^2-n) of them,
-    n <= 5. The 2^(n(n-1)/2) symmetric ones, n <= 8, are streamed by a
-    mirrored search that picks each cell (i, j >= i) and copies it to (j, i)."""
-    if symmetric_only:
-        _feasible(n, 8, "symmetric conservative operations", "2^(n(n-1)/2)")
-        tables = _search(n, _conservative, mirror=True)
-    else:
-        _feasible(n, 5, "conservative operations", "2^(n^2-n)")
-        tables = conservative_space(n)
-    for t in tables:
+    n <= 5."""
+    _feasible(n, 5, "conservative operations", "2^(n^2-n)")
+    for t in conservative_space(n):
         yield _unchecked_operation(n, t)
 
 
@@ -504,7 +492,8 @@ class _SearchStream:
     """The tables that a search of each of ``parts`` in turn keeps, as one
     stream in search order, for one pass that holds no table past its turn;
     once the pass ends, ``decided`` is the number of tables the searches
-    decided."""
+    decided, which is ``size``, the number of tables in the parts, when no
+    table was skipped."""
 
     def __init__(self, n: int, parts, **constraints):
         self.n, self.parts, self.constraints = n, parts, constraints
@@ -513,6 +502,18 @@ class _SearchStream:
     def __iter__(self) -> Iterator[tuple]:
         for values in self.parts:
             self.decided += yield from _search(self.n, values, **self.constraints)
+
+    @property
+    def size(self) -> int:
+        return sum(size for size, _, _ in _sized(self.n, self.parts,
+                                                 self.constraints.get("mirror", False)))
+
+    def shortfall(self) -> list[dict]:
+        """After the pass, one counterexample if the searches did not decide
+        every table of the parts, else none."""
+        if self.decided == self.size:
+            return []
+        return [{"reason": f"searches decided {self.decided} of {self.size} tables"}]
 
 
 def _sized(n: int, parts, mirror: bool) -> Iterator[tuple[int, list, list]]:
@@ -751,7 +752,8 @@ def _scan(check, parts, sampled: bool = False, **constraints):
                 "stats": {"prefiltered": len(drawn), **part["stats"]}, "seed": seed}
         tables = _SearchStream(n, parts(n), **constraints)
         part = _tally(tables, check, n)
-        return tables.decided, part["counterexamples"], {"stats": part["stats"]}
+        cex = tables.shortfall() + part["counterexamples"]
+        return tables.decided, cex, {"stats": part["stats"]}
     return run
 
 
@@ -765,37 +767,31 @@ def _key(table) -> bytes:
     return b"".join(map(bytes, table))
 
 
-def _compare_generated(n: int, found, generated: set) -> tuple[int, list[dict]]:
-    """The number of tables the stream ``found`` makes, and the
-    counterexamples both ways against ``generated``, the ``_key`` of each
-    generated table: found tables that are never generated, in search
-    order, each looked up as it comes, then generated tables that the
-    search did not find, in table order, each decoded from its key."""
-    cex = []
-    hits = set()
-    count = 0
-    for count, t in enumerate(found, 1):
-        key = _key(t)
-        if key in generated:
-            hits.add(key)
-        else:
-            cex.append({"table": _json_rows(t),
-                        "reason": "passes the axioms but is never generated"})
-    for key in sorted(generated - hits):
-        t = tuple(tuple(key[i:i + n]) for i in range(0, n * n, n))
-        op = _unchecked_operation(n, t)
-        fails = not (is_conservative(op) and is_symmetric(op) and is_nondecreasing(op))
-        cex.append({"table": _json_rows(t),
-                    "reason": "generated but fails the axioms" if fails
-                    else "generated and passes the axioms, but the search did not find it"})
-    return count, cex
+def _unkey(n: int, key: bytes) -> tuple[tuple[int, ...], ...]:
+    """The table of an n-chain whose ``_key`` is ``key``."""
+    return tuple(tuple(key[i:i + n]) for i in range(0, n * n, n))
 
 
 def _verify_main(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
-    generated = {_key(op.table) for op in generate_all_uninorms_gc(n)}
+    index: dict[bytes, int] = {}
+    for op in generate_all_uninorms_gc(n):
+        index.setdefault(_key(op.table), len(index))
     found = _SearchStream(n, [_conservative], mirror=True, nondecreasing=True)
-    count, cex = _compare_generated(n, found, generated)
-    return found.decided, cex, {"brute_force_count": count, "generated_count": len(generated)}
+    counts, strays = _count_against(index, found)
+    cex = found.shortfall()
+    # found tables that are never generated, in search order, then generated
+    # tables that the search did not find, in table order
+    for key in strays:
+        cex.append({"table": _json_rows(_unkey(n, key)),
+                    "reason": "passes the axioms but is never generated"})
+    for key in sorted(key for key, i in index.items() if not counts[i]):
+        op = _unchecked_operation(n, _unkey(n, key))
+        fails = not (is_conservative(op) and is_symmetric(op) and is_nondecreasing(op))
+        cex.append({"table": _json_rows(op.table),
+                    "reason": "generated but fails the axioms" if fails
+                    else "generated and passes the axioms, but the search did not find it"})
+    return found.decided, cex, {"brute_force_count": sum(counts) + sum(strays.values()),
+                                "generated_count": len(index)}
 
 
 def _verify_main2n(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:

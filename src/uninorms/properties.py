@@ -226,7 +226,7 @@ def rect_associativity_witness(op: BinaryOperation) -> Optional[RectWitness]:
     """Rectangle test: a conservative operation fails associativity exactly
     when some pairwise distinct a, b, c give pairwise distinct values
     F(a,b), F(a,c), F(b,c)."""
-    _require(op, conservative=True)
+    _require_conservative(op)
     triple = _table_rect_witness(op.table)
     if triple is None:
         return None
@@ -236,13 +236,6 @@ def rect_associativity_witness(op: BinaryOperation) -> Optional[RectWitness]:
 
 def is_associative_conservative_rect(op: BinaryOperation) -> bool:
     return rect_associativity_witness(op) is None
-
-
-def is_bisymmetric_via_rect(op: BinaryOperation) -> bool:
-    """For conservative symmetric operations, bisymmetry is the same as
-    associativity, so the rectangle test decides it."""
-    _require(op, conservative=True, symmetric=True)
-    return _table_rect_witness(op.table) is None
 
 
 def _table_rect_witness(t) -> Optional[tuple[int, int, int]]:
@@ -322,7 +315,7 @@ def find_neutral_via_sections(op: BinaryOperation) -> Optional[NeutralSections]:
 def find_neutral_conservative(op: BinaryOperation) -> Optional[int]:
     """For conservative operations the neutral element is the diagonal point
     whose level set is a singleton; there is at most one isolated point."""
-    _require(op, conservative=True)
+    _require_conservative(op)
     isolated = isolated_points(op)
     if not isolated:
         return None
@@ -330,25 +323,7 @@ def find_neutral_conservative(op: BinaryOperation) -> Optional[int]:
     return x if x == y else None
 
 
-def isolated_implies_diagonal_check(op: BinaryOperation) -> bool:
-    """Executable witness that isolated points of an idempotent operation lie
-    on the diagonal; a False return would indicate a bug, not a property of
-    the input."""
-    _require(op, idempotent=True)
-    return all(x == y for (x, y) in isolated_points(op))
-
-
-def _require(op: BinaryOperation, conservative: bool = False,
-             symmetric: bool = False, idempotent: bool = False) -> None:
-    if conservative:
-        w = conservativeness_witness(op)
-        if w is not None:
-            raise ValueError(f"operation is not conservative: F{w} = {op(*w)}")
-    if symmetric:
-        w = symmetry_witness(op)
-        if w is not None:
-            raise ValueError(f"operation is not symmetric at {w}")
-    if idempotent:
-        x = idempotency_witness(op)
-        if x is not None:
-            raise ValueError(f"operation is not idempotent: F({x},{x}) = {op(x, x)}")
+def _require_conservative(op: BinaryOperation) -> None:
+    w = conservativeness_witness(op)
+    if w is not None:
+        raise ValueError(f"operation is not conservative: F{w} = {op(*w)}")

@@ -2,6 +2,8 @@ import inspect
 import json
 import pickle
 import re
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -86,7 +88,7 @@ class TestChainSizeGuard:
     """A bad chain size gets FiniteChain's one-line error at every entry point."""
 
     def test_the_entry_points_are_found(self):
-        assert len(_SIZED) >= 12
+        assert len(_SIZED) >= 11
         assert {"count_uninorms", "rectangles", "probe_open_questions"} <= set(_SIZED)
 
     @pytest.mark.parametrize("n", _BAD_SIZES)
@@ -107,6 +109,37 @@ class TestChainSizeGuard:
     def test_verify_theorem(self, n):
         with pytest.raises(ValueError, match=exactly(f"chain size must be a positive integer, got {n!r}")):
             verify_theorem("main", n)
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _unused_exports() -> list[str]:
+    """The names of ``uninorms.__all__`` that occur as a whole word neither in
+    the README, nor in a demo, nor in a line of the package's modules other
+    than ``__init__.py`` that is not the name's own def or class line."""
+    texts = [(_ROOT / "README.md").read_text()]
+    texts += [p.read_text() for p in sorted((_ROOT / "demos").glob("*.py"))]
+    lines = [line for p in sorted((_ROOT / "src" / "uninorms").glob("*.py"))
+             if p.name != "__init__.py" for line in p.read_text().splitlines()]
+    unused = []
+    for name in uninorms.__all__:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"\s*(def|class) {re.escape(name)}\b")
+        if not (any(word.search(t) for t in texts)
+                or any(word.search(line) and not own.match(line) for line in lines)):
+            unused.append(name)
+    return unused
+
+
+class TestPublicSurface:
+    def test_no_export_is_a_module(self):
+        assert [name for name in uninorms.__all__
+                if isinstance(getattr(uninorms, name), ModuleType)] == []
+
+    def test_every_export_is_used(self):
+        # by a claim, a command or another module, a demo, or the README
+        assert _unused_exports() == []
 
 
 # entry point: (what, lo, a call that puts the value v where a chain element

@@ -15,7 +15,6 @@ from uninorms import (
     BinaryOperation,
     FiniteChain,
     LinearOrder,
-    enumerate_all_operations,
     enumerate_conservative,
     enumerate_nondecreasing,
     find_neutral_element,
@@ -95,44 +94,28 @@ def mirrored_product(n, values):
 
 
 class TestEnumerators:
-    @pytest.mark.parametrize("n,count", [(1, 1), (2, 16), (3, 19683)])
-    def test_all_operations(self, n, count):
-        assert sum(1 for _ in enumerate_all_operations(n)) == count
-
-    def test_all_operations_distinct_and_ordered(self):
-        seen = [op.table for op in enumerate_all_operations(2)]
-        assert len(set(seen)) == 16
-        flat = [tuple(v for row in t for v in row) for t in seen]
-        assert flat == sorted(flat)
-
-    def test_all_operations_bound(self):
-        with pytest.raises(ValueError, match="bound"):
-            next(enumerate_all_operations(4))
-
     @pytest.mark.parametrize("n,count", [(2, 4), (3, 64), (4, 4096)])
     def test_conservative(self, n, count):
         assert sum(1 for _ in enumerate_conservative(n)) == count
 
     @pytest.mark.parametrize("n,count", [(2, 2), (3, 8), (4, 64)])
     def test_conservative_symmetric(self, n, count):
-        assert sum(1 for _ in enumerate_conservative(n, symmetric_only=True)) == count
+        assert sum(1 for _ in oracle._search(n, oracle._conservative, mirror=True)) == count
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_conservative_symmetric_is_the_mirrored_product(self, n):
-        assert [op.table for op in enumerate_conservative(n, symmetric_only=True)] == list(
+        assert list(oracle._search(n, oracle._conservative, mirror=True)) == list(
             mirrored_product(n, lambda i, j: sorted({i + 1, j + 1})))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_conservative_symmetric_is_the_symmetric_subset(self, n):
         from uninorms import is_symmetric
-        assert [op.table for op in enumerate_conservative(n, symmetric_only=True)] == [
+        assert list(oracle._search(n, oracle._conservative, mirror=True)) == [
             op.table for op in enumerate_conservative(n) if is_symmetric(op)]
 
     def test_conservative_bounds(self):
         with pytest.raises(ValueError):
             next(enumerate_conservative(6))
-        with pytest.raises(ValueError):
-            next(enumerate_conservative(9, symmetric_only=True))
 
     def test_conservative_yield_is_conservative(self):
         for op in enumerate_conservative(3):
@@ -151,7 +134,7 @@ class TestEnumerators:
     def test_nondecreasing_is_the_filtered_full_space(self, n):
         # the same tables in the same order as filtering every table
         assert [op.table for op in enumerate_nondecreasing(n)] == [
-            op.table for op in enumerate_all_operations(n) if is_nondecreasing(op)]
+            t for t in oracle.full_space(n) if is_nondecreasing(_unchecked_operation(n, t))]
 
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 11), (4, 164), (5, 7195)])
     def test_nondecreasing_with_neutral_source(self, n, count):
@@ -310,6 +293,26 @@ class TestVerifyTheorem:
         assert report["counterexamples"] == [{
             "table": oracle._json_rows(last),
             "reason": "generated and passes the axioms, but the search did not find it"}]
+
+    @pytest.mark.parametrize("name,n", [
+        ("main", 4), ("main3", 4), ("bis-c", 4), ("mainb", 3), ("corollary-mainb", 3),
+        ("prel34", 3), ("bis-a", 3), ("bis-b", 3),
+    ])
+    def test_a_search_that_skips_a_table_fails_the_report(self, monkeypatch, name, n):
+        # each search keeps the same tables but accounts for one table fewer
+        # than its part holds, so only the accounting check can see it
+        size = verify_theorem(name, n)["candidates"]
+        search = oracle._search
+
+        def short(*args, **kwargs):
+            return (yield from search(*args, **kwargs)) - 1
+
+        monkeypatch.setattr(oracle, "_search", short)
+        report = verify_theorem(name, n)
+        assert not report["ok"]
+        assert report["candidates"] < size
+        assert report["counterexamples"][0] == {
+            "reason": f"searches decided {report['candidates']} of {size} tables"}
 
     def test_rec8n_report(self):
         report = verify_theorem("rec8n", 4)
@@ -915,6 +918,19 @@ class TestSearch:
             kept = [t for t in space if check(_unchecked_operation(n, t))]
             bad += found != kept or decided != len(space)
         return bad
+
+    @pytest.mark.parametrize("name", list(_CLASSES))
+    def test_a_stream_decides_its_size(self, name):
+        # size, from the cell domains, is the number of tables in the
+        # spaces, and the searches account for every one of them
+        domains, args, _, _ = self._CLASSES[name]
+        spaces = [mirrored_product(3, values) if args.get("mirror") else oracle._space(3, values)
+                  for values in domains(3)]
+        stream = oracle._SearchStream(3, domains(3), **args)
+        for _ in stream:
+            pass
+        assert stream.size == stream.decided == sum(sum(1 for _ in space) for space in spaces)
+        assert stream.shortfall() == []
 
     def test_the_search_streams_its_tables(self):
         # the first table comes before the search goes on; once exhausted it
