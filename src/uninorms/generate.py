@@ -14,6 +14,15 @@ the set equality exhaustively.
 Each construction writes its table a shell or a row at a time and wraps it
 without the public constructor's check: every entry is one of the cell's two
 arguments, so it lies in 1..n.
+
+The first two constructions each build their tables in one place and hand
+them out two ways. The contour algorithm is one walk, ``_contour_walk``,
+with two snapshots: ``generate_all_uninorms_gc`` snapshots list rows as an
+operation over row tuples, and ``_contour_keys`` snapshots bytearray rows as
+one bytes string. The patchwork's rows come from ``_gspec_rows``, as tuples
+for ``uninorm_from_gspec`` and as bytes for ``_gspec_key``. The bytes form
+is the oracle's ``_key`` of the table, which the construction claims index
+and count, so they build no row tuple only to join it.
 """
 from __future__ import annotations
 
@@ -26,45 +35,59 @@ from .core import BinaryOperation, FiniteChain, GSpec, _ints_in, _unchecked_oper
 
 
 def generate_all_uninorms_gc(n: int) -> Iterator[BinaryOperation]:
-    """Every idempotent discrete uninorm on the n-chain, built shell by shell.
-
-    The shells are laid into one working table, depth first with an explicit
-    stack of the intervals still to visit, so the depth is not bounded by
-    the recursion limit. Each interval's shell is laid when it is popped,
-    after the whole subtree of its elder sibling, which writes only outside
-    their parent's square. Along each path from a neutral element to a leaf
-    the shells partition the square, so every cell is written exactly once
-    before the leaf snapshots the table, and no shell needs undoing when the
-    search backs up. Every entry is the shell's new element, one of the
-    cell's two arguments, so the snapshots are wrapped without a check.
+    """Every idempotent discrete uninorm on the n-chain, built shell by shell
+    by ``_contour_walk`` into list rows, each snapshot a tuple of row tuples.
+    Every entry is the shell's new element, one of the cell's two arguments,
+    so the snapshots are wrapped without a check.
 
     The emission order matches enumerate_single_peaked: start elements
     ascending, downward extension explored before upward. The chain size is
     checked when the first table is asked for.
     """
     FiniteChain(n)
-    table = [[0] * n for _ in range(n)]
+    for table in _contour_walk(n, [[0] * n for _ in range(n)]):
+        yield _unchecked_operation(n, tuple(map(tuple, table)))
+
+
+def _contour_keys(n: int) -> Iterator[bytes]:
+    """The tables of ``generate_all_uninorms_gc``, in its order, each as the
+    bytes of its rows run together (the oracle's ``_key``): the same walk
+    into bytearray rows, each snapshot one join, with no row tuples built.
+    An entry past 255 raises ValueError, as ``_key`` does."""
+    FiniteChain(n)
+    for table in _contour_walk(n, [bytearray(n) for _ in range(n)]):
+        yield b"".join(table)
+
+
+def _contour_walk(n: int, table: list) -> Iterator[list]:
+    """Lay the shells of the contour algorithm into ``table``, n rows of n
+    entries, and yield it each time it holds a complete uninorm; the caller
+    snapshots it before asking for the next.
+
+    The shells are laid depth first with an explicit stack of the intervals
+    still to visit, so the depth is not bounded by the recursion limit. Each
+    interval's shell is laid when it is popped, after the whole subtree of
+    its elder sibling, which writes only outside their parent's square.
+    Along each path from a neutral element to a leaf the shells partition
+    the square, so every cell is written exactly once before the leaf is
+    yielded, and no shell needs undoing when the search backs up.
+    """
     # (a, lo, hi): the interval [lo, hi] reached by adding a, whose shell of
     # new points has the common value a; a neutral element e is [e, e]
     stack = [(e, e, e) for e in range(n, 0, -1)]
     while stack:
         a, lo, hi = stack.pop()
-        _lay_shell(table, a, lo, hi)
+        # the shell: the row and column of a over the interval [lo, hi]
+        table[a - 1][lo - 1:hi] = [a] * (hi - lo + 1)
+        for row in table[lo - 1:hi]:
+            row[a - 1] = a
         if hi - lo + 1 == n:
-            yield _unchecked_operation(n, tuple(map(tuple, table)))
+            yield table
             continue
         if hi < n:
             stack.append((hi + 1, lo, hi + 1))
         if lo > 1:
             stack.append((lo - 1, lo - 1, hi))
-
-
-def _lay_shell(table: list[list[int]], a: int, lo: int, hi: int) -> None:
-    """Write the shell of new points with common value a into the table: the
-    row and column of a over the extended interval [lo, hi]."""
-    table[a - 1][lo - 1:hi] = [a] * (hi - lo + 1)
-    for row in table[lo - 1:hi]:
-        row[a - 1] = a
 
 
 def count_uninorms(n: int) -> int:
@@ -105,24 +128,36 @@ def make_gbar(spec: GSpec) -> tuple[int, ...]:
 
 def uninorm_from_gspec(spec: GSpec) -> BinaryOperation:
     """The min/max patchwork operation of a parameter choice: min below the
-    extended boundary, max everywhere else.
+    extended boundary, max everywhere else. Every entry is the min or max of
+    its two arguments, so the table is wrapped without a check."""
+    n = spec.chain.n
+    return _unchecked_operation(n, tuple(_gspec_rows(spec, tuple(range(1, n + 1)))))
+
+
+def _gspec_key(spec: GSpec) -> bytes:
+    """The table of ``uninorm_from_gspec(spec)`` as the bytes of its rows run
+    together (the oracle's ``_key``), built from bytes rows with no row
+    tuples. An entry past 255 raises ValueError, as ``_key`` does."""
+    return b"".join(_gspec_rows(spec, bytes(range(1, spec.chain.n + 1))))
+
+
+def _gspec_rows(spec: GSpec, ids):
+    """The rows of the patchwork table, each a slice of ``ids``, the
+    identity row 1..n as a tuple or as bytes, with the run pasted in.
 
     Row x is min(x, y) for y <= gbar(x) when x <= gbar(1), and max(x, y)
     otherwise. Either way it is the identity row with a run of x between x
-    and the row's boundary (gbar(x), or 0 where the row is all max). Every
-    entry is the min or max of its two arguments, so the table is wrapped
-    without a check.
+    and the row's boundary (gbar(x), or 0 where the row is all max).
     """
-    n = spec.chain.n
     gbar = make_gbar(spec)
-    ids = tuple(range(1, n + 1))
+    top = gbar[0]
     rows = []
     for x, k in enumerate(gbar, 1):
-        if x > gbar[0]:
+        if x > top:
             k = 0
         lo, hi = (x, k) if x <= k else (k, x)
-        rows.append(ids[:lo] + (x,) * (hi - lo) + ids[hi:])
-    return _unchecked_operation(n, tuple(rows))
+        rows.append(ids[:lo] + ids[x - 1:x] * (hi - lo) + ids[hi:])
+    return rows
 
 
 def enumerate_gspecs(n: int) -> Iterator[GSpec]:

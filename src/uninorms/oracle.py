@@ -35,6 +35,13 @@ makes a table. The scan driver then wraps each table once with
 ``core._unchecked_operation``, which skips ``BinaryOperation``'s per-table
 check and shares one chain per n, and hands the operation to the check.
 
+The construction claims (``main``, ``main2n``, ``qob``) compare tables by
+one bytes ``_key`` each. The contour algorithm and the patchwork make their
+tables as keys from the start (``generate._contour_keys`` and
+``generate._gspec_key``: one walk or one row helper, whose other snapshot is
+the public generators' tuples), so no row tuple is built only to be joined;
+the order maxima and the search's tables are keyed as they stream past.
+
 ``verify_theorem`` is the single entry point: it looks up a named claim in
 the catalog, whose runner scans or searches the relevant candidate class,
 and builds the report of every claim: the number of candidates checked plus
@@ -47,7 +54,7 @@ import os
 import random
 import time
 from functools import cache
-from itertools import chain, permutations, product
+from itertools import chain, permutations, product, repeat
 from math import comb, prod
 from typing import Generator, Iterator, NamedTuple, Optional
 
@@ -59,7 +66,11 @@ from .core import (
     _json_rows,
     _unchecked_operation,
 )
-from .generate import (  # gspec_collision_report stays here: bench/run.py's traced run wraps it
+# bench/run.py's traced run wraps gspec_collision_report and
+# uninorm_from_gspec here, so both stay imported though no claim calls them
+from .generate import (
+    _contour_keys,
+    _gspec_key,
     enumerate_gspecs,
     generate_all_uninorms_gc,
     gspec_collision_report,
@@ -268,21 +279,12 @@ def _search(n: int, values, mirror: bool = False, identities=(),
             order[j * n + i] = k
     tab = [-1] * (n * n)  # 0-based values, -1 while unknown
 
-    def read(instance) -> Optional[int]:
-        # None if the instance holds, -1 if it fails, else the first unknown
-        # cell it reads
-        steps, lhs, rhs, slots = instance
-        for a, b, out in steps:
-            cell = slots[a] * n + slots[b]
-            if tab[cell] < 0:
-                return cell
-            slots[out] = tab[cell]
-        return None if slots[lhs] == slots[rhs] else -1
-
     # Each equation is watched once: an instance whose two sides are the same
     # ground term cannot fail, and one whose sides, swapped, are those of an
     # instance already watched (bisymmetry at (x, z, y, w) after (x, y, z, w))
-    # fails exactly when that one does.
+    # fails exactly when that one does. An instance is first parked on the
+    # cell of its first read, which reads two variables: every cell is
+    # unknown before the search starts.
     watch = [[] for _ in cells]  # position -> the instances parked on it
     watched = set()  # the (left, right) ground terms of the instances watched
     for lhs, rhs in identities:
@@ -294,8 +296,9 @@ def _search(n: int, values, mirror: bool = False, identities=(),
             if sides[0] == sides[1] or sides[::-1] in watched:
                 continue
             watched.add(sides)
-            instance = (steps, left, right, [*env, *[0] * len(steps)])
-            watch[order[read(instance)]].append(instance)
+            a, b, _ = steps[0]
+            watch[order[env[a] * n + env[b]]].append((steps, left, right,
+                                                      [*env, *[0] * len(steps)]))
 
     def monotone(i: int, j: int, v: int) -> bool:
         # unknown neighbours read -1, which never exceeds v
@@ -305,17 +308,25 @@ def _search(n: int, values, mirror: bool = False, identities=(),
                     or (j < n - 1 and 0 <= tab[i * n + j + 1] < v))
 
     def settle(k: int, parked: list) -> bool:
-        # newest first, which meets a failing instance after fewer reads in
-        # the catalog's searches; the order of reads changes neither which
-        # instances are parked on k nor whether one of them fails
+        # Reads each instance parked on k again: it holds, fails, or parks
+        # on its first cell still unknown. Newest first, which meets a
+        # failing instance after fewer reads in the catalog's searches; the
+        # order of reads changes neither which instances are parked on k nor
+        # whether one of them fails.
         for instance in reversed(watch[k]):
-            cell = read(instance)
-            if cell == -1:
-                return False
-            if cell is not None:
-                q = order[cell]
-                watch[q].append(instance)
-                parked.append(q)
+            steps, lhs, rhs, slots = instance
+            for a, b, out in steps:
+                cell = slots[a] * n + slots[b]
+                v = tab[cell]
+                if v < 0:
+                    q = order[cell]
+                    watch[q].append(instance)
+                    parked.append(q)
+                    break
+                slots[out] = v
+            else:
+                if slots[lhs] != slots[rhs]:
+                    return False
         return True
 
     def extend() -> Generator[tuple, None, int]:
@@ -533,7 +544,8 @@ def _draw(parts, n: int, seed: int, mirror: bool) -> list:
     sized = list(_sized(n, parts, mirror))
     sizes = [size for size, _, _ in sized]
     p = sum(sizes) / n ** (n * n)
-    kept = sum(rng.random() < p for _ in range(SAMPLE_SIZE))
+    draw = rng.random
+    kept = len([None for _ in repeat(None, SAMPLE_SIZE) if draw() < p])
     tables = []
     for _, cells, domains in rng.choices(sized, sizes, k=kept):
         cell = dict(zip(cells, map(rng.choice, domains)))  # a mirrored part: j >= i only
@@ -728,7 +740,8 @@ def _check_probe_c(op: BinaryOperation):
 # A runner takes (n, seed, jobs) and returns (candidates, counterexamples,
 # extras); verify_theorem builds the report from them.
 
-def _scan(check, parts, sampled: bool = False, **constraints):
+def _scan(check, parts, sampled: bool = False, uninorm_stat: Optional[str] = None,
+          **constraints):
     """Runner that tallies ``check`` over the class ``parts(n)``, each part
     the cell domains of one search under ``constraints`` (the ``_search``
     keywords, ``mirror`` among them), whose tables decided are the
@@ -737,7 +750,10 @@ def _scan(check, parts, sampled: bool = False, **constraints):
     class with no constraints is the whole space of its one part instead,
     swept over ``jobs`` workers. A sampled class is drawn past chain size 4:
     the draws of its parts that the constraints accept, each searched as a
-    space of one table, are tallied."""
+    space of one table, are tallied. In a searched class whose stat named
+    ``uninorm_stat`` counts the idempotent discrete uninorms, the report
+    fails, with that reason first, unless the count is their closed form
+    2^(n-1)."""
     def run(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
         if not constraints:
             [values] = parts(n)
@@ -753,6 +769,11 @@ def _scan(check, parts, sampled: bool = False, **constraints):
         tables = _SearchStream(n, parts(n), **constraints)
         part = _tally(tables, check, n)
         cex = tables.shortfall() + part["counterexamples"]
+        if uninorm_stat is not None:
+            got, want = part["stats"].get(uninorm_stat, 0), 2 ** (n - 1)
+            if got != want:
+                cex.insert(0, {"reason": f"{got} tables counted as {uninorm_stat}, "
+                                         f"expected 2^(n-1) = {want}"})
         return tables.decided, cex, {"stats": part["stats"]}
     return run
 
@@ -763,7 +784,9 @@ def _key(table) -> bytes:
     hash is cached, and keys of one chain size sort as their tables do. An
     entry past 255 raises ValueError rather than wrap. Joining the rows'
     bytes is the faster way measured: 2.3 µs per table at n = 12, against
-    2.8 µs for bytes of the chained entries."""
+    2.8 µs for bytes of the chained entries. The contour algorithm and the
+    patchwork make this key themselves, as ``generate._contour_keys`` and
+    ``generate._gspec_key``, from rows that are bytes from the start."""
     return b"".join(map(bytes, table))
 
 
@@ -773,11 +796,9 @@ def _unkey(n: int, key: bytes) -> tuple[tuple[int, ...], ...]:
 
 
 def _verify_main(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
-    index: dict[bytes, int] = {}
-    for op in generate_all_uninorms_gc(n):
-        index.setdefault(_key(op.table), len(index))
+    index = _contour_index(n)
     found = _SearchStream(n, [_conservative], mirror=True, nondecreasing=True)
-    counts, strays = _count_against(index, found)
+    counts, strays = _count_against(index, map(_key, found))
     cex = found.shortfall()
     # found tables that are never generated, in search order, then generated
     # tables that the search did not find, in table order
@@ -797,9 +818,9 @@ def _verify_main(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
 def _verify_main2n(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
     keys = set()
     generated = 0
-    for op in generate_all_uninorms_gc(n):
+    for key in _contour_keys(n):
         generated += 1
-        keys.add(_key(op.table))
+        keys.add(key)
     distinct = len(keys)
     expected = 2 ** (n - 1)
     cex = []
@@ -839,13 +860,11 @@ def _verify_qob(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
     # order and no order's table falls outside, each generated table is the
     # table of some order, whose round trip is checked below, so a generated
     # table's round trip cannot fail on its own.
-    index: dict[bytes, int] = {}
-    for op in generate_all_uninorms_gc(n):
-        index.setdefault(_key(op.table), len(index))
+    index = _contour_index(n)
     cex = []
     seqs = []  # kept only for the n! filter
 
-    def order_tables():
+    def order_keys():
         for order in enumerate_single_peaked(n):
             if n <= 8:
                 seqs.append(order.seq)
@@ -855,13 +874,12 @@ def _verify_qob(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
             back = uninorm_to_order(op)
             if back.seq != order.seq:
                 cex.append({"reason": f"round trip changed {order.seq} into {back.seq}"})
-            yield op.table
+            yield _key(op.table)
 
-    by_order, order_strays = _count_against(index, order_tables())
+    by_order, order_strays = _count_against(index, order_keys())
     if order_strays or 0 in by_order:
         cex.append({"reason": "order-maximum tables differ from the contour algorithm's"})
-    by_spec, spec_strays = _count_against(
-        index, (uninorm_from_gspec(spec).table for spec in enumerate_gspecs(n)))
+    by_spec, spec_strays = _count_against(index, map(_gspec_key, enumerate_gspecs(n)))
     if spec_strays or 0 in by_spec:
         cex.append({"reason": "patchwork construction image differs from the contour algorithm's"})
     made = [c for c in by_spec if c] + list(spec_strays.values())
@@ -885,14 +903,23 @@ def _verify_qob(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
     return extras["orders"], cex, extras
 
 
-def _count_against(index: dict, tables: Iterator) -> tuple[list[int], dict]:
-    """How often the stream makes each table of ``index``, which maps the
-    ``_key`` of each table to its slot, by slot, and how often it makes each
-    table outside the index, by key: the strays are only counted."""
+def _contour_index(n: int) -> dict[bytes, int]:
+    """The ``_key`` of each table of the contour algorithm, mapped to its
+    slot: the order in which the key was first made."""
+    index: dict[bytes, int] = {}
+    for key in _contour_keys(n):
+        index.setdefault(key, len(index))
+    return index
+
+
+def _count_against(index: dict, keys: Iterator[bytes]) -> tuple[list[int], dict]:
+    """How often a stream of table ``_key``s makes each table of ``index``,
+    which maps the key of each table to its slot, by slot, and how often it
+    makes each table outside the index, by key: the strays are only
+    counted."""
     counts = [0] * len(index)
     strays: dict[bytes, int] = {}
-    for t in tables:
-        key = _key(t)
+    for key in keys:
         i = index.get(key)
         if i is None:
             strays[key] = strays.get(key, 0) + 1
@@ -939,13 +966,15 @@ _CATALOG = {
     "main": (6, "the three axioms characterize the generated uninorms", _verify_main),
     "main2n": (12, "there are exactly 2^(n-1) idempotent discrete uninorms", _verify_main2n),
     "main3": (5, "the three axioms imply associativity and a neutral element",
-              _scan(_check_main3, lambda n: [_conservative], mirror=True, nondecreasing=True)),
+              _scan(_check_main3, lambda n: [_conservative], uninorm_stat="candidate",
+                    mirror=True, nondecreasing=True)),
     "gc": (12, "uninorms with neutral element e number C(n-1, e-1)", _verify_gc),
     "qob": (12, "single-peaked maxima, contour algorithm, and patchwork agree", _verify_qob),
     "mainb": (5, "bisymmetry + monotonicity + neutral element = discrete uninorm",
               _scan(_check_mainb, _neutral_parts, nondecreasing=True)),
     "corollary-mainb": (5, "adding idempotency or conservativeness yields the idempotent ones",
-                        _scan(_check_corollary_mainb, _neutral_parts, nondecreasing=True)),
+                        _scan(_check_corollary_mainb, _neutral_parts,
+                              uninorm_stat="idempotent_uninorms", nondecreasing=True)),
     "bis-a": (5, "bisymmetric with neutral element implies associative and symmetric",
               _scan(_check_bis_a, _neutral_parts, sampled=True, identities=(_BISYMMETRY,))),
     "bis-b": (5, "associative and symmetric implies bisymmetric",
@@ -994,7 +1023,10 @@ def verify_theorem(name: str, n: int, seed: int = 0, jobs: int = 1) -> dict:
     worker process. No claim holds its tables: a scan or a search streams
     each table into the check, and the construction claims (``main``,
     ``main2n``, ``qob``) keep one ``_key`` per generated table, not the
-    table. The report is deterministic for fixed (name, n, seed),
+    table; the contour algorithm and the patchwork build each of their
+    tables as that key, from one walk or one row helper that also serves
+    their public generators, so no row tuple is built only to be joined.
+    The report is deterministic for fixed (name, n, seed),
     regardless of the number of workers. ``name`` must be a str, ``n`` a
     chain size that ``FiniteChain`` accepts, and ``seed`` and ``jobs`` ints,
     not bools."""

@@ -235,7 +235,10 @@ def rect_associativity_witness(op: BinaryOperation) -> Optional[RectWitness]:
 
 
 def is_associative_conservative_rect(op: BinaryOperation) -> bool:
-    return rect_associativity_witness(op) is None
+    """Whether the rectangle test finds no witness: the guard and the answer
+    of ``rect_associativity_witness``, without building the witness."""
+    _require_conservative(op)
+    return _table_rect_witness(op.table) is None
 
 
 def _table_rect_witness(t) -> Optional[tuple[int, int, int]]:

@@ -26,6 +26,9 @@ from uninorms import (
     verify_theorem,
 )
 
+from uninorms.generate import _contour_keys, _gspec_key
+from uninorms.oracle import _key
+
 from test_core import max_op, min_op
 
 
@@ -289,3 +292,24 @@ class TestConstructionsMatchTheirReferences:
         assert [make_gbar(s) for s in specs] == [ref_gbar(s) for s in specs]
         assert [_checked(uninorm_from_gspec(s)) for s in specs] == [
             ref_patchwork(s) for s in specs]
+
+
+class TestKeyStreams:
+    """The contour algorithm and the patchwork, built as bytes keys from one
+    walk or one row helper, give the ``_key`` of each public table, in the
+    public order."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_contour_keys_are_the_generated_tables_keys(self, n):
+        assert list(_contour_keys(n)) == [_key(op.table) for op in generate_all_uninorms_gc(n)]
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_gspec_key_is_the_patchwork_tables_key(self, n):
+        for spec in enumerate_gspecs(n):
+            assert _gspec_key(spec) == _key(uninorm_from_gspec(spec).table)
+
+    def test_an_entry_past_255_raises_as_the_key_does(self):
+        with pytest.raises(ValueError):
+            next(_contour_keys(256))
+        with pytest.raises(ValueError):
+            _gspec_key(GSpec(FiniteChain(256), 1, (1,)))

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import pickle
+import random
 import subprocess
 import sys
 import tracemalloc
 from concurrent import futures
-from itertools import chain, islice, permutations
+from itertools import chain, count, islice, permutations
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,7 +33,7 @@ from uninorms import (
     theorem_names,
     verify_theorem,
 )
-from uninorms import oracle
+from uninorms import generate, oracle
 from uninorms.core import _unchecked_operation
 from uninorms.oracle import _ASSOCIATIVITY, _BISYMMETRY
 
@@ -314,6 +316,33 @@ class TestVerifyTheorem:
         assert report["counterexamples"][0] == {
             "reason": f"searches decided {report['candidates']} of {size} tables"}
 
+    @pytest.mark.parametrize("name", ["main3", "corollary-mainb"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_search_that_drops_kept_tables_fails_the_closed_form(self, monkeypatch, name, n):
+        # each search passes on only four of every five tables it keeps but
+        # still accounts for all of them, so the accounting check cannot see
+        # it; the closed form 2^(n-1) of the uninorms these claims count can
+        search = oracle._search
+
+        def four_in_five(*args, **kwargs):
+            tables = search(*args, **kwargs)
+            for i in count():
+                try:
+                    t = next(tables)
+                except StopIteration as end:
+                    return end.value
+                if i % 5:
+                    yield t
+
+        assert verify_theorem(name, n)["ok"]
+        monkeypatch.setattr(oracle, "_search", four_in_five)
+        report = verify_theorem(name, n)
+        assert not report["ok"]
+        stat = {"main3": "candidate", "corollary-mainb": "idempotent_uninorms"}[name]
+        assert report["counterexamples"][0] == {
+            "reason": f"{report['stats'][stat]} tables counted as {stat}, "
+                      f"expected 2^(n-1) = {2 ** (n - 1)}"}
+
     def test_rec8n_report(self):
         report = verify_theorem("rec8n", 4)
         assert report["candidates"] == 24
@@ -498,9 +527,8 @@ class TestVerifyTheorem:
 
 
 def _set_based_qob(n, seed, jobs):
-    """``qob`` with all three images kept as full sets and then compared. It
-    calls the constructions through ``oracle``, so a fault patched in there
-    reaches both this and the claim."""
+    """``qob`` with all three images kept as full sets and then compared,
+    from the public constructions: the operations, not their keys."""
     cex = []
     orders = list(oracle.enumerate_single_peaked(n))
     from_orders = set()
@@ -547,15 +575,33 @@ def _qob_and_set_based_reports(monkeypatch, n):
     return got, want
 
 
+# Each fault is patched where both the claim and _set_based_qob meet it: the
+# contour algorithm's walk and the patchwork's rows, which the public
+# constructions and the key streams share, or order_to_uninorm, which both
+# call through oracle.
+
 def _drop_a_generated_table(monkeypatch, n):
-    gc = oracle.generate_all_uninorms_gc
-    monkeypatch.setattr(oracle, "generate_all_uninorms_gc", lambda n: list(gc(n))[:-1])
+    walk = generate._contour_walk
+
+    def dropping(n, table):
+        leaves = walk(n, table)
+        next(leaves)
+        yield from leaves
+
+    monkeypatch.setattr(generate, "_contour_walk", dropping)
 
 
 def _repeat_a_generated_table(monkeypatch, n):
-    gc = oracle.generate_all_uninorms_gc
-    monkeypatch.setattr(oracle, "generate_all_uninorms_gc",
-                        lambda n: [*gc(n), next(gc(n))])
+    walk = generate._contour_walk
+
+    def repeating(n, table):
+        leaves = walk(n, table)
+        first = next(leaves)
+        yield first
+        yield first  # the table is not touched until the walk goes on
+        yield from leaves
+
+    monkeypatch.setattr(generate, "_contour_walk", repeating)
 
 
 def _give_an_order_another_orders_table(monkeypatch, n):
@@ -566,11 +612,12 @@ def _give_an_order_another_orders_table(monkeypatch, n):
 
 
 def _make_a_table_outside_the_image(monkeypatch, n, specs=1):
-    from_gspec = oracle.uninorm_from_gspec
+    rows = generate._gspec_rows
     firsts = list(islice(oracle.enumerate_gspecs(n), specs))
-    constant = _unchecked_operation(n, ((1,) * n,) * n)  # not idempotent
-    monkeypatch.setattr(oracle, "uninorm_from_gspec",
-                        lambda spec: constant if spec in firsts else from_gspec(spec))
+    # every row the identity row's first entry, n times: the constant table
+    # 1, which is not idempotent
+    monkeypatch.setattr(generate, "_gspec_rows",
+                        lambda spec, ids: [ids[:1] * n] * n if spec in firsts else rows(spec, ids))
 
 
 def _make_a_table_outside_the_image_from_two_specs(monkeypatch, n):
@@ -578,10 +625,10 @@ def _make_a_table_outside_the_image_from_two_specs(monkeypatch, n):
 
 
 def _make_one_table_from_two_specs(monkeypatch, n):
-    from_gspec = oracle.uninorm_from_gspec
+    rows = generate._gspec_rows
     first, second = islice(oracle.enumerate_gspecs(n), 2)
-    monkeypatch.setattr(oracle, "uninorm_from_gspec",
-                        lambda spec: from_gspec(first if spec == second else spec))
+    monkeypatch.setattr(generate, "_gspec_rows",
+                        lambda spec, ids: rows(first if spec == second else spec, ids))
 
 
 class TestQob:
@@ -1059,6 +1106,28 @@ class TestSample:
         parts, mirror, _ = self._CLASSES[name]
         tables = oracle._draw(parts(2), 2, 0, mirror)
         assert set(tables) == self._filtered(name, 2)
+
+    @pytest.mark.parametrize("name", list(_CLASSES))
+    def test_trials_take_the_generator_expressions_draws(self, monkeypatch, name):
+        # _draw counts its kept trials with a list comprehension: for each
+        # seed it must keep as many as one rng.random() < p per trial in a
+        # generator expression, and leave the stream where that one does
+        parts, mirror, _ = self._CLASSES[name]
+        n = 5
+        p = sum(part[0] for part in oracle._sized(n, parts(n), mirror)) / n ** (n * n)
+        seen = []
+
+        class Probe(random.Random):
+            def choices(self, population, weights, k):
+                seen.append((k, self.random()))
+                return []
+
+        monkeypatch.setattr(oracle, "random", SimpleNamespace(Random=Probe))
+        for seed in range(64):
+            oracle._draw(parts(n), n, seed, mirror)
+            rng = random.Random(seed)
+            kept = sum(rng.random() < p for _ in range(oracle.SAMPLE_SIZE))
+            assert seen.pop() == (kept, rng.random())
 
     @pytest.mark.parametrize("name,antecedent", [("bis-a", is_bisymmetric),
                                                  ("bis-b", is_associative)])

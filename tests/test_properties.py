@@ -154,6 +154,17 @@ class TestRectangles:
         with pytest.raises(ValueError, match="not conservative"):
             is_associative_conservative_rect(fixture("fig9"))
 
+    def test_rect_test_is_the_witness_test(self):
+        # the bool skips the witness object, but must answer and refuse as
+        # the witness does
+        for op in enumerate_conservative(4):
+            assert is_associative_conservative_rect(op) == (rect_associativity_witness(op) is None)
+        with pytest.raises(ValueError) as bool_error:
+            is_associative_conservative_rect(fixture("fig9"))
+        with pytest.raises(ValueError) as witness_error:
+            rect_associativity_witness(fixture("fig9"))
+        assert str(bool_error.value) == str(witness_error.value)
+
 
 class TestExhaustiveEquivalences:
     """Definitional checkers against their structural twins, swept over
