@@ -30,8 +30,8 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from functools import cache
-from itertools import chain, compress, product
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, compress, product, repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class FiniteChain(namedtuple("FiniteChain", "n")):
@@ -49,9 +49,6 @@ class FiniteChain(namedtuple("FiniteChain", "n")):
         if type(n) is not int or n < 1:
             raise ValueError(f"chain size must be a positive integer, got {n!r}")
         return super().__new__(cls, n)
-
-    def elements(self) -> range:
-        return range(1, self.n + 1)
 
 
 class BinaryOperation(namedtuple("BinaryOperation", "chain table")):
@@ -121,6 +118,12 @@ def _unchecked_operation(n: int, table: tuple[tuple[int, ...], ...]) -> BinaryOp
     return tuple.__new__(BinaryOperation, (_shared_chain(n), table))
 
 
+def _unchecked_operations(n: int, tables: Iterable) -> Iterator[BinaryOperation]:
+    """``_unchecked_operation(n, t)`` for each of ``tables`` in turn, built
+    by builtins alone, with no Python call per table."""
+    return map(tuple.__new__, repeat(BinaryOperation), zip(repeat(_shared_chain(n)), tables))
+
+
 class LinearOrder(namedtuple("LinearOrder", "chain seq")):
     """A linear ordering of 1..n, as the sequence from smallest to largest.
 
@@ -141,14 +144,6 @@ class LinearOrder(namedtuple("LinearOrder", "chain seq")):
     @property
     def n(self) -> int:
         return self.chain.n
-
-    def rank(self, v: int) -> int:
-        """1-based position of v in the ordering (1 = smallest)."""
-        return self.seq.index(v) + 1
-
-    def precedes(self, u: int, v: int) -> bool:
-        """True iff u comes no later than v (u is ordered below-or-equal v)."""
-        return self.seq.index(u) <= self.seq.index(v)
 
 
 class ContourPartition(NamedTuple):

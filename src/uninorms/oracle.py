@@ -25,15 +25,16 @@ A class with no constraints has nothing to prune: it is the whole space of
 its one part, and every table of it is scanned. Sampling is left only for
 ``bis-a`` and ``bis-b`` at n = 5, where no search of their classes fits a
 desk budget: each draws, in the calling process, the tables of its parts
-that ``SAMPLE_SIZE`` uniform draws with one fixed seed keep, and checks
-those that its constraints accept. Part (c) of the open-questions probe is
-searched up to n = 4 and not run at n = 5.
+that ``SAMPLE_SIZE`` uniform draws with one fixed seed keep, and searches
+them, as parts of one table each, in one search stream. Part (c) of the
+open-questions probe is searched up to n = 4 and not run at n = 5.
 
 Each source of tables, a space, a search or a sample, is validated once: it
 checks its cell domains (every value an int, not a bool, in 1..n) before it
-makes a table. The scan driver then wraps each table once with
-``core._unchecked_operation``, which skips ``BinaryOperation``'s per-table
-check and shares one chain per n, and hands the operation to the check.
+makes a table, which is then wrapped once by ``core._unchecked_operations``
+(it skips ``BinaryOperation``'s per-table check and shares one chain per n).
+Every per-table check runs in one loop, ``_tally``, over operations: those
+wrapped tables, or the contour algorithm's operations as it makes them.
 
 The construction claims (``main``, ``main2n``, ``qob``) compare tables by
 one bytes ``_key`` each. The contour algorithm and the patchwork make their
@@ -55,8 +56,8 @@ import random
 import time
 from functools import cache
 from itertools import chain, permutations, product, repeat
-from math import comb, prod
-from typing import Generator, Iterator, NamedTuple, Optional
+from math import comb, factorial, prod
+from typing import Generator, Iterable, Iterator, NamedTuple, Optional
 
 from .core import (
     BinaryOperation,
@@ -65,12 +66,14 @@ from .core import (
     _ints_in,
     _json_rows,
     _unchecked_operation,
+    _unchecked_operations,
 )
 # bench/run.py's traced run wraps gspec_collision_report and
 # uninorm_from_gspec here, so both stay imported though no claim calls them
 from .generate import (
     _contour_keys,
     _gspec_key,
+    count_uninorms,
     enumerate_gspecs,
     generate_all_uninorms_gc,
     gspec_collision_report,
@@ -179,10 +182,16 @@ def _domains(n: int, values, cells) -> list[tuple[int, ...]]:
     return [_ints_in(values(i, j), 1, n, "cell value") for i, j in cells]
 
 
+def _part_cells(n: int, mirror: bool) -> list[tuple[int, int]]:
+    """The cells (i, j) of a part, row by row, each row left to right; a
+    mirrored part has only the cells j >= i."""
+    return [(i, j) for i in range(n) for j in range(i if mirror else 0, n)]
+
+
 def _space(n: int, values) -> TableSpace:
     """The tables whose cell (i, j) takes each of ``values(i, j)`` (0-based,
     ascending)."""
-    domains = _domains(n, values, [(i, j) for i in range(n) for j in range(n)])
+    domains = _domains(n, values, _part_cells(n, False))
     return TableSpace([list(product(*domains[i * n:(i + 1) * n])) for i in range(n)])
 
 
@@ -268,7 +277,7 @@ def _search(n: int, values, mirror: bool = False, identities=(),
     number of tables found plus the size of every pruned subtree, summed as
     the search goes, so it equals the size of the space only if the search
     accounted for every table."""
-    cells = [(i, j) for i in range(n) for j in range(i if mirror else 0, n)]
+    cells = _part_cells(n, mirror)
     domains = [[v - 1 for v in domain] for domain in _domains(n, values, cells)]
     # below[k]: the tables under one assignment of the cells before k
     below = [prod(map(len, domains[k:])) for k in range(len(cells) + 1)]
@@ -380,16 +389,14 @@ def enumerate_conservative(n: int) -> Iterator[BinaryOperation]:
     its two coordinates), lexicographic by table entries: 2^(n^2-n) of them,
     n <= 5."""
     _feasible(n, 5, "conservative operations", "2^(n^2-n)")
-    for t in conservative_space(n):
-        yield _unchecked_operation(n, t)
+    yield from _unchecked_operations(n, conservative_space(n))
 
 
 def enumerate_nondecreasing(n: int) -> Iterator[BinaryOperation]:
     """All tables nondecreasing in both coordinates (24696 tables at n = 4),
     lexicographic by table entries; n <= 4."""
     _feasible(n, 4, "nondecreasing operations", "box plane partition numbers")
-    for t in _search(n, _full(n), nondecreasing=True):
-        yield _unchecked_operation(n, t)
+    yield from _unchecked_operations(n, _search(n, _full(n), nondecreasing=True))
 
 
 def _feasible(n: int, cap: int, what: str, growth: str) -> None:
@@ -405,16 +412,15 @@ def _feasible(n: int, cap: int, what: str, growth: str) -> None:
 # the scan driver
 #
 # A check takes an operation and returns (stats flags to count, failure
-# reason or None). A whole space is scanned in one contiguous index range per
-# worker, merged in range order, which keeps every report independent of the
-# number of workers.
+# reason or None); _tally runs it over any stream of operations. A whole
+# space is scanned in one contiguous index range per worker, merged in range
+# order, which keeps every report independent of the number of workers.
 
-def _tally(tables, check, n: int) -> dict:
+def _tally(ops, check) -> dict:
     stats: dict[str, int] = {}
     cex: list[dict] = []
     checked = 0
-    for checked, t in enumerate(tables, 1):
-        op = _unchecked_operation(n, t)
+    for checked, op in enumerate(ops, 1):
         delta, bad = check(op)
         for k in delta:
             stats[k] = stats.get(k, 0) + 1
@@ -438,7 +444,7 @@ def _worker_count(jobs: int, tables: int) -> int:
     return max(1, min(jobs, tables, _usable_cpus()))
 
 
-def _merge_scans(parts: list[dict]) -> dict:
+def _merge_scans(parts: Iterable[dict]) -> dict:
     merged: dict = {"checked": 0, "stats": {}, "counterexamples": []}
     for p in parts:
         merged["checked"] += p["checked"]
@@ -456,26 +462,28 @@ def _ranges(size: int, workers: int) -> list[tuple[int, int]]:
 
 def _scan_range(args) -> dict:
     check, n, rows, start, stop = args
-    return _tally(TableSpace(rows).iter_range(start, stop), check, n)
+    tables = TableSpace(rows).iter_range(start, stop)
+    return _tally(_unchecked_operations(n, tables), check)
 
 
 def _sweep(check, space: TableSpace, n: int, jobs: int = 1) -> dict:
-    """Tally ``check`` over the tables of ``space``: in this process with one
-    worker, else one index range per worker, each rebuilt there from the
-    space's rows. The ranges merge in index order, each with the first
-    counterexamples of its range, so the first ``_MAX_COUNTEREXAMPLES`` of
-    the merge, all that a report lists, are the one-worker result's.
+    """Tally ``check`` over the tables of ``space``, one index range per
+    worker, each rebuilt from the space's rows by the code a worker runs,
+    in this process when there is one range. The ranges merge in index
+    order, each with the first counterexamples of its range, so the first
+    ``_MAX_COUNTEREXAMPLES`` of the merge, all that a report lists, are the
+    one-worker result's.
 
     The pool module is imported here, when the first scan starts workers,
     so that ``import uninorms`` does not load ``multiprocessing``."""
     workers = _worker_count(jobs, space.size)
+    tasks = [(check, n, space.rows, start, stop) for start, stop in _ranges(space.size, workers)]
     if workers == 1:
-        return _tally(space, check, n)
+        return _merge_scans(map(_scan_range, tasks))
     from concurrent.futures import ProcessPoolExecutor
 
-    tasks = [(check, n, space.rows, start, stop) for start, stop in _ranges(space.size, workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _merge_scans(list(pool.map(_scan_range, tasks)))
+        return _merge_scans(pool.map(_scan_range, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +538,7 @@ class _SearchStream:
 def _sized(n: int, parts, mirror: bool) -> Iterator[tuple[int, list, list]]:
     """(size, cells, domains) of each of ``parts``, its domains checked; the
     cells of mirrored parts are those with j >= i."""
-    cells = [(i, j) for i in range(n) for j in range(i if mirror else 0, n)]
+    cells = _part_cells(n, mirror)
     for values in parts:
         domains = _domains(n, values, cells)
         yield prod(map(len, domains)), cells, domains
@@ -734,13 +742,21 @@ def _check_probe_c(op: BinaryOperation):
     return delta, finding
 
 
+def _check_gc(op: BinaryOperation):
+    # the contour algorithm's tables, each counted under its neutral element
+    e = find_neutral_conservative(op)
+    if e is None:
+        return (), "generated table has no neutral element"
+    return (e,), None
+
+
 # ---------------------------------------------------------------------------
 # theorem runners
 #
 # A runner takes (n, seed, jobs) and returns (candidates, counterexamples,
 # extras); verify_theorem builds the report from them.
 
-def _scan(check, parts, sampled: bool = False, uninorm_stat: Optional[str] = None,
+def _scan(check, parts, sampled: bool = False, closed_form: Optional[tuple] = None,
           **constraints):
     """Runner that tallies ``check`` over the class ``parts(n)``, each part
     the cell domains of one search under ``constraints`` (the ``_search``
@@ -749,44 +765,49 @@ def _scan(check, parts, sampled: bool = False, uninorm_stat: Optional[str] = Non
     tally as one stream, in order, and no table is kept past its check. A
     class with no constraints is the whole space of its one part instead,
     swept over ``jobs`` workers. A sampled class is drawn past chain size 4:
-    the draws of its parts that the constraints accept, each searched as a
-    space of one table, are tallied. In a searched class whose stat named
-    ``uninorm_stat`` counts the idempotent discrete uninorms, the report
-    fails, with that reason first, unless the count is their closed form
-    2^(n-1)."""
+    its draws are the parts, of one table each. A report fails, with that
+    reason first, if the searches skipped a table of the parts, or if, in a
+    searched class with a ``closed_form`` (stat, name, count), the stat
+    named ``stat`` is not ``count(n)``."""
     def run(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
         if not constraints:
             [values] = parts(n)
             merged = _sweep(check, _space(n, values), n, jobs)
             return merged["checked"], merged["counterexamples"], {"stats": merged["stats"]}
-        if sampled and n > 4:
-            drawn = _draw(parts(n), n, seed, constraints.get("mirror", False))
-            kept = (t for t in drawn
-                    if next(_search(n, lambda i, j: (t[i][j],), **constraints), None) is not None)
-            part = _tally(kept, check, n)
-            return SAMPLE_SIZE, part["counterexamples"], {
-                "stats": {"prefiltered": len(drawn), **part["stats"]}, "seed": seed}
-        tables = _SearchStream(n, parts(n), **constraints)
-        part = _tally(tables, check, n)
+        drawn = (_draw(parts(n), n, seed, constraints.get("mirror", False))
+                 if sampled and n > 4 else None)
+        tables = _SearchStream(n, parts(n) if drawn is None
+                               else [lambda i, j, t=t: (t[i][j],) for t in drawn], **constraints)
+        part = _tally(_unchecked_operations(n, tables), check)
         cex = tables.shortfall() + part["counterexamples"]
-        if uninorm_stat is not None:
-            got, want = part["stats"].get(uninorm_stat, 0), 2 ** (n - 1)
+        if drawn is not None:
+            return SAMPLE_SIZE, cex, {
+                "stats": {"prefiltered": len(drawn), **part["stats"]}, "seed": seed}
+        if closed_form is not None:
+            stat, name, count = closed_form
+            got, want = part["stats"].get(stat, 0), count(n)
             if got != want:
-                cex.insert(0, {"reason": f"{got} tables counted as {uninorm_stat}, "
-                                         f"expected 2^(n-1) = {want}"})
+                cex.insert(0, {"reason": f"{got} tables counted as {stat}, "
+                                         f"expected {name} = {want}"})
         return tables.decided, cex, {"stats": part["stats"]}
     return run
+
+
+def _devillet_count(n: int) -> int:
+    """The conservative bisymmetric operations on the n-chain (Devillet
+    2019): the sum over k of C(n, k) (n - k)! w(k), with w(0) = 0, w(1) = 1
+    and w(k) = 2 for k >= 2; 1, 4, 14, 58, 292 for n = 1..5."""
+    return sum(comb(n, k) * factorial(n - k) * (1 if k == 1 else 2) for k in range(1, n + 1))
 
 
 def _key(table) -> bytes:
     """One bytes string for a table, its rows run together. At n = 12 it
     takes about 180 B where the tuple of row tuples takes about 2 KB, its
     hash is cached, and keys of one chain size sort as their tables do. An
-    entry past 255 raises ValueError rather than wrap. Joining the rows'
-    bytes is the faster way measured: 2.3 µs per table at n = 12, against
-    2.8 µs for bytes of the chained entries. The contour algorithm and the
-    patchwork make this key themselves, as ``generate._contour_keys`` and
-    ``generate._gspec_key``, from rows that are bytes from the start."""
+    entry past 255 raises ValueError rather than wrap. The contour algorithm
+    and the patchwork make this key themselves, as
+    ``generate._contour_keys`` and ``generate._gspec_key``, from rows that
+    are bytes from the start."""
     return b"".join(map(bytes, table))
 
 
@@ -796,7 +817,7 @@ def _unkey(n: int, key: bytes) -> tuple[tuple[int, ...], ...]:
 
 
 def _verify_main(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
-    index = _contour_index(n)
+    index, _ = _contour_index(n)
     found = _SearchStream(n, [_conservative], mirror=True, nondecreasing=True)
     counts, strays = _count_against(index, map(_key, found))
     cex = found.shortfall()
@@ -816,12 +837,8 @@ def _verify_main(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
 
 
 def _verify_main2n(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
-    keys = set()
-    generated = 0
-    for key in _contour_keys(n):
-        generated += 1
-        keys.add(key)
-    distinct = len(keys)
+    index, generated = _contour_index(n)
+    distinct = len(index)
     expected = 2 ** (n - 1)
     cex = []
     if generated != expected or distinct != expected:
@@ -831,24 +848,15 @@ def _verify_main2n(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
 
 
 def _verify_gc(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
-    by_neutral: dict[int, int] = {}
-    total = 0
-    cex = []
-    for op in generate_all_uninorms_gc(n):
-        total += 1
-        e = find_neutral_conservative(op)
-        if e is None:
-            cex.append({"table": _json_rows(op.table),
-                        "reason": "generated table has no neutral element"})
-            continue
-        by_neutral[e] = by_neutral.get(e, 0) + 1
+    found = _tally(generate_all_uninorms_gc(n), _check_gc)
+    stats, cex = found["stats"], found["counterexamples"]
     # the C(n-1, e-1) sum to 2^(n-1), so these checks also fix the total
     for e in range(1, n + 1):
         want = comb(n - 1, e - 1)
-        got = by_neutral.get(e, 0)
+        got = stats.get(e, 0)
         if got != want:
             cex.append({"reason": f"neutral element {e}: {got} tables, expected {want}"})
-    return total, cex, {"by_neutral": {str(e): c for e, c in sorted(by_neutral.items())}}
+    return found["checked"], cex, {"by_neutral": {str(e): c for e, c in sorted(stats.items())}}
 
 
 def _verify_qob(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
@@ -860,7 +868,7 @@ def _verify_qob(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
     # order and no order's table falls outside, each generated table is the
     # table of some order, whose round trip is checked below, so a generated
     # table's round trip cannot fail on its own.
-    index = _contour_index(n)
+    index, _ = _contour_index(n)
     cex = []
     seqs = []  # kept only for the n! filter
 
@@ -903,13 +911,15 @@ def _verify_qob(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
     return extras["orders"], cex, extras
 
 
-def _contour_index(n: int) -> dict[bytes, int]:
+def _contour_index(n: int) -> tuple[dict[bytes, int], int]:
     """The ``_key`` of each table of the contour algorithm, mapped to its
-    slot: the order in which the key was first made."""
+    slot: the order in which the key was first made; and the number of
+    tables the walk made, repeats included."""
     index: dict[bytes, int] = {}
-    for key in _contour_keys(n):
+    made = 0
+    for made, key in enumerate(_contour_keys(n), 1):
         index.setdefault(key, len(index))
-    return index
+    return index, made
 
 
 def _count_against(index: dict, keys: Iterator[bytes]) -> tuple[list[int], dict]:
@@ -966,7 +976,8 @@ _CATALOG = {
     "main": (6, "the three axioms characterize the generated uninorms", _verify_main),
     "main2n": (12, "there are exactly 2^(n-1) idempotent discrete uninorms", _verify_main2n),
     "main3": (5, "the three axioms imply associativity and a neutral element",
-              _scan(_check_main3, lambda n: [_conservative], uninorm_stat="candidate",
+              _scan(_check_main3, lambda n: [_conservative],
+                    closed_form=("candidate", "2^(n-1)", count_uninorms),
                     mirror=True, nondecreasing=True)),
     "gc": (12, "uninorms with neutral element e number C(n-1, e-1)", _verify_gc),
     "qob": (12, "single-peaked maxima, contour algorithm, and patchwork agree", _verify_qob),
@@ -974,14 +985,17 @@ _CATALOG = {
               _scan(_check_mainb, _neutral_parts, nondecreasing=True)),
     "corollary-mainb": (5, "adding idempotency or conservativeness yields the idempotent ones",
                         _scan(_check_corollary_mainb, _neutral_parts,
-                              uninorm_stat="idempotent_uninorms", nondecreasing=True)),
+                              closed_form=("idempotent_uninorms", "2^(n-1)", count_uninorms),
+                              nondecreasing=True)),
     "bis-a": (5, "bisymmetric with neutral element implies associative and symmetric",
               _scan(_check_bis_a, _neutral_parts, sampled=True, identities=(_BISYMMETRY,))),
     "bis-b": (5, "associative and symmetric implies bisymmetric",
               _scan(_check_bis_b, lambda n: [_full(n)], sampled=True, mirror=True,
                     identities=(_ASSOCIATIVITY,))),
     "bis-c": (5, "bisymmetric and conservative implies associative",
-              _scan(_check_bis_c, lambda n: [_conservative], identities=(_BISYMMETRY,))),
+              _scan(_check_bis_c, lambda n: [_conservative],
+                    closed_form=("antecedent", "the Devillet count", _devillet_count),
+                    identities=(_BISYMMETRY,))),
     "idis": (3, "isolated points of idempotent operations lie on the diagonal",
              _scan(_check_idis, lambda n: [_idempotent(_full(n))])),
     "ee": (4, "for conservative operations, neutral = unique isolated diagonal point",
@@ -1023,13 +1037,10 @@ def verify_theorem(name: str, n: int, seed: int = 0, jobs: int = 1) -> dict:
     worker process. No claim holds its tables: a scan or a search streams
     each table into the check, and the construction claims (``main``,
     ``main2n``, ``qob``) keep one ``_key`` per generated table, not the
-    table; the contour algorithm and the patchwork build each of their
-    tables as that key, from one walk or one row helper that also serves
-    their public generators, so no row tuple is built only to be joined.
-    The report is deterministic for fixed (name, n, seed),
-    regardless of the number of workers. ``name`` must be a str, ``n`` a
-    chain size that ``FiniteChain`` accepts, and ``seed`` and ``jobs`` ints,
-    not bools."""
+    table. The report is deterministic for fixed (name, n, seed), regardless
+    of the number of workers. ``name`` must be a str, ``n`` a chain size
+    that ``FiniteChain`` accepts, and ``seed`` and ``jobs`` ints, not
+    bools."""
     if not isinstance(name, str):
         raise ValueError(f"name must be a string, got {name!r}")
     key = name.lower()
@@ -1087,7 +1098,7 @@ def probe_open_questions(n: int) -> dict:
                   "symmetric bisymmetric tables fits a desk budget")
     else:
         tables = _SearchStream(n, [_full(n)], mirror=True, identities=(_BISYMMETRY,))
-        found = _tally(tables, _check_probe_c, n)
+        found = _tally(_unchecked_operations(n, tables), _check_probe_c)
         part_c = {
             "symmetric_tables_examined": tables.decided,
             "stats": found["stats"],

@@ -23,22 +23,13 @@ from .properties import (
 
 
 def single_peakedness_witness(order: LinearOrder) -> Optional[tuple[int, int, int]]:
-    """First triple a < b < c whose middle element is ranked after both."""
-    n = order.n
+    """First triple a < b < c whose middle element is ranked after both: the
+    triple definition itself, read over every triple in lexicographic
+    order; ``is_single_peaked`` decides by the interval walk instead."""
     pos = _positions(order)
-    # after[b]: the least c > b ranked before b, so the first triple (a, b, c)
-    # of each (a, b). Each b waits until a c ranked before it comes; ranks
-    # rise up the stack, so each c releases a run off its top.
-    after: dict[int, int] = {}
-    waiting: list[int] = []
-    for c in range(1, n + 1):
-        while waiting and pos[waiting[-1]] > pos[c]:
-            after[waiting.pop()] = c
-        waiting.append(c)
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if b in after and pos[b] > pos[a]:
-                return (a, b, after[b])
+    for a, b, c in combinations(range(1, order.n + 1), 3):
+        if pos[b] > pos[a] and pos[b] > pos[c]:
+            return (a, b, c)
     return None
 
 

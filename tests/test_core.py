@@ -59,8 +59,8 @@ tables = st.integers(min_value=1, max_value=5).flatmap(
 
 
 class TestFiniteChain:
-    def test_elements(self):
-        assert list(FiniteChain(3).elements()) == [1, 2, 3]
+    def test_size(self):
+        assert FiniteChain(3).n == 3 and FiniteChain(3) == (3,)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match=exactly("chain size must be a positive integer, got 0")):
@@ -114,14 +114,21 @@ class TestChainSizeGuard:
 _ROOT = Path(__file__).resolve().parent.parent
 
 
-def _unused_exports() -> list[str]:
-    """The names of ``uninorms.__all__`` that occur as a whole word neither in
-    the README, nor in a demo, nor in a line of the package's modules other
-    than ``__init__.py`` that is not the name's own def or class line."""
+def _readers() -> tuple[list[str], list[str]]:
+    """The README and the demos, each one text; and the lines of the
+    package's modules other than ``__init__.py``."""
     texts = [(_ROOT / "README.md").read_text()]
     texts += [p.read_text() for p in sorted((_ROOT / "demos").glob("*.py"))]
     lines = [line for p in sorted((_ROOT / "src" / "uninorms").glob("*.py"))
              if p.name != "__init__.py" for line in p.read_text().splitlines()]
+    return texts, lines
+
+
+def _unused_exports() -> list[str]:
+    """The names of ``uninorms.__all__`` that occur as a whole word neither in
+    the README, nor in a demo, nor in a line of the package's modules other
+    than ``__init__.py`` that is not the name's own def or class line."""
+    texts, lines = _readers()
     unused = []
     for name in uninorms.__all__:
         word = re.compile(rf"\b{re.escape(name)}\b")
@@ -129,6 +136,32 @@ def _unused_exports() -> list[str]:
         if not (any(word.search(t) for t in texts)
                 or any(word.search(line) and not own.match(line) for line in lines)):
             unused.append(name)
+    return unused
+
+
+def _unused_methods() -> list[str]:
+    """``Class.name`` for each public method or property defined in the body
+    of a class of ``uninorms.__all__`` that no reader of ``_unused_exports``
+    uses: a method must be called as ``.name(``, a property read as
+    ``.name``."""
+    texts, lines = _readers()
+    texts.append("\n".join(lines))
+    unused = []
+    for owner in uninorms.__all__:
+        cls = getattr(uninorms, owner)
+        if not isinstance(cls, type):
+            continue
+        for name, attr in vars(cls).items():
+            if name.startswith("_"):
+                continue
+            if isinstance(attr, property):
+                use = re.compile(rf"\.{re.escape(name)}\b")
+            elif inspect.isfunction(attr) or isinstance(attr, (staticmethod, classmethod)):
+                use = re.compile(rf"\.{re.escape(name)}\(")
+            else:
+                continue
+            if not any(use.search(t) for t in texts):
+                unused.append(f"{owner}.{name}")
     return unused
 
 
@@ -140,6 +173,9 @@ class TestPublicSurface:
     def test_every_export_is_used(self):
         # by a claim, a command or another module, a demo, or the README
         assert _unused_exports() == []
+
+    def test_every_public_method_of_an_export_is_used(self):
+        assert _unused_methods() == []
 
 
 # entry point: (what, lo, a call that puts the value v where a chain element
@@ -370,8 +406,8 @@ class TestOrders:
     def test_order_round_trip(self):
         order = parse_order("2 3 4 1 5")
         assert order.seq == (2, 3, 4, 1, 5)
-        assert order.rank(2) == 1 and order.rank(5) == 5
-        assert order.precedes(4, 1) and not order.precedes(5, 2)
+        assert order.seq.index(2) == 0 and order.seq.index(5) == 4
+        assert order.seq.index(4) < order.seq.index(1)
 
     def test_a_line_of_more_than_640_digits_reads(self):
         # the 640-digit bound is on each number, not on the line

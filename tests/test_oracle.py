@@ -34,7 +34,7 @@ from uninorms import (
     verify_theorem,
 )
 from uninorms import generate, oracle
-from uninorms.core import _unchecked_operation
+from uninorms.core import _unchecked_operation, _unchecked_operations
 from uninorms.oracle import _ASSOCIATIVITY, _BISYMMETRY
 
 from test_core import max_op, tables
@@ -316,12 +316,20 @@ class TestVerifyTheorem:
         assert report["counterexamples"][0] == {
             "reason": f"searches decided {report['candidates']} of {size} tables"}
 
-    @pytest.mark.parametrize("name", ["main3", "corollary-mainb"])
+    # claim: (the stat its closed form counts, the form's name, its value at
+    # n = 3 and 4); bis-c counts the bisymmetric quasitrivial operations
+    _CLOSED_FORMS = {
+        "main3": ("candidate", "2^(n-1)", {3: 4, 4: 8}),
+        "corollary-mainb": ("idempotent_uninorms", "2^(n-1)", {3: 4, 4: 8}),
+        "bis-c": ("antecedent", "the Devillet count", {3: 14, 4: 58}),
+    }
+
+    @pytest.mark.parametrize("name", list(_CLOSED_FORMS))
     @pytest.mark.parametrize("n", [3, 4])
     def test_a_search_that_drops_kept_tables_fails_the_closed_form(self, monkeypatch, name, n):
         # each search passes on only four of every five tables it keeps but
         # still accounts for all of them, so the accounting check cannot see
-        # it; the closed form 2^(n-1) of the uninorms these claims count can
+        # it; the closed form of the tables these claims count can
         search = oracle._search
 
         def four_in_five(*args, **kwargs):
@@ -334,14 +342,14 @@ class TestVerifyTheorem:
                 if i % 5:
                     yield t
 
-        assert verify_theorem(name, n)["ok"]
+        stat, form, want = self._CLOSED_FORMS[name]
+        assert verify_theorem(name, n)["stats"][stat] == want[n]
         monkeypatch.setattr(oracle, "_search", four_in_five)
         report = verify_theorem(name, n)
         assert not report["ok"]
-        stat = {"main3": "candidate", "corollary-mainb": "idempotent_uninorms"}[name]
         assert report["counterexamples"][0] == {
             "reason": f"{report['stats'][stat]} tables counted as {stat}, "
-                      f"expected 2^(n-1) = {2 ** (n - 1)}"}
+                      f"expected {form} = {want[n]}"}
 
     def test_rec8n_report(self):
         report = verify_theorem("rec8n", 4)
@@ -393,6 +401,49 @@ class TestVerifyTheorem:
         report = verify_theorem("gc", 12)
         assert report["ok"], report
         assert report["by_neutral"] == {str(e): comb(11, e - 1) for e in range(1, 13)}
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_a_generated_table_without_a_neutral_element_fails_gc(self, monkeypatch, n):
+        # the left projection F(x, y) = x is conservative and has no
+        # neutral element
+        left = BinaryOperation(FiniteChain(n), [[x] * n for x in range(1, n + 1)])
+        real = oracle.generate_all_uninorms_gc
+        monkeypatch.setattr(oracle, "generate_all_uninorms_gc",
+                            lambda n: chain(real(n), [left]))
+        report = verify_theorem("gc", n)
+        assert report["candidates"] == 2 ** (n - 1) + 1
+        assert report["by_neutral"] == {str(e): comb(n - 1, e - 1) for e in range(1, n + 1)}
+        assert report["counterexamples"] == [{
+            "table": oracle._json_rows(left.table),
+            "reason": "generated table has no neutral element"}]
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_a_dropped_generated_table_fails_gc(self, monkeypatch, n):
+        real = oracle.generate_all_uninorms_gc
+        e = find_neutral_element(list(real(n))[-1])
+        monkeypatch.setattr(oracle, "generate_all_uninorms_gc", lambda n: list(real(n))[:-1])
+        report = verify_theorem("gc", n)
+        assert report["candidates"] == 2 ** (n - 1) - 1
+        assert report["counterexamples"] == [{
+            "reason": f"neutral element {e}: {comb(n - 1, e - 1) - 1} tables, "
+                      f"expected {comb(n - 1, e - 1)}"}]
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_a_repeated_contour_table_fails_main2n(self, monkeypatch, n):
+        real = oracle._contour_keys
+
+        def repeat_first(n):
+            keys = real(n)
+            first = next(keys)
+            yield from (first, first, *keys)
+
+        monkeypatch.setattr(oracle, "_contour_keys", repeat_first)
+        report = verify_theorem("main2n", n)
+        want = 2 ** (n - 1)
+        assert report["candidates"] == report["generated"] == want + 1
+        assert report["distinct"] == want
+        assert report["counterexamples"] == [{
+            "reason": f"generator yielded {want + 1} tables ({want} distinct), expected {want}"}]
 
     def test_corollary_sweep_at_its_bound(self):
         report = verify_theorem("corollary-mainb", 4, seed=0)
@@ -803,13 +854,14 @@ class TestClassDigests:
         seen = []
         tally = oracle._tally
 
-        def recording(tables, check, size):
-            seen.append(list(tables))
-            return tally(seen[-1], check, size)
+        def recording(ops, check):
+            seen.append(list(ops))
+            return tally(seen[-1], check)
 
         monkeypatch.setattr(oracle, "_tally", recording)
         verify_theorem(name, n, jobs=1)
-        [tables] = seen
+        [ops] = seen
+        tables = [op.table for op in ops]
         digest = hashlib.sha256(repr(sorted(tables)).encode()).hexdigest()
         assert (len(tables), digest) == self._DIGESTS[name, n]
 
@@ -1042,6 +1094,12 @@ class TestSourceValidation:
     def test_operations_share_one_chain(self):
         ops = list(enumerate_conservative(3))
         assert all(op.chain is ops[0].chain for op in ops)
+
+    def test_a_stream_of_unchecked_operations_is_the_checked_one(self):
+        tables = list(oracle.full_space(2))
+        ops = list(_unchecked_operations(2, tables))
+        assert ops == [BinaryOperation(FiniteChain(2), t) for t in tables]
+        assert all(type(op) is BinaryOperation and op.chain is ops[0].chain for op in ops)
 
     @pytest.mark.parametrize("bad", [0, 4, True])
     @pytest.mark.parametrize("source", [

@@ -187,7 +187,7 @@ class TestOrderToUninorm:
             op = order_to_uninorm(o)
             checked = BinaryOperation(FiniteChain(n), op.table)
             expected = tuple(
-                tuple(y if o.precedes(x, y) else x for y in range(1, n + 1))
+                tuple(y if o.seq.index(x) <= o.seq.index(y) else x for y in range(1, n + 1))
                 for x in range(1, n + 1)
             )
             assert checked.table == expected
