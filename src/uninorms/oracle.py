@@ -44,10 +44,11 @@ the public generators' tuples), so no row tuple is built only to be joined;
 the order maxima and the search's tables are keyed as they stream past.
 
 ``verify_theorem`` is the single entry point: it looks up a named claim in
-the catalog, whose runner scans or searches the relevant candidate class,
-and builds the report of every claim: the number of candidates checked plus
-the first ``_MAX_COUNTEREXAMPLES`` counterexamples found (there must be
-none).
+the catalog, whose runner scans, searches or samples its class, and builds
+every report: the candidates checked and the first ``_MAX_COUNTEREXAMPLES``
+counterexamples (there must be none), led by the self-checks that every
+source ends in: a declared closed form, then ``_unaccounted``, the tables
+decided against the tables the source holds.
 """
 from __future__ import annotations
 
@@ -511,8 +512,8 @@ class _SearchStream:
     """The tables that a search of each of ``parts`` in turn keeps, as one
     stream in search order, for one pass that holds no table past its turn;
     once the pass ends, ``decided`` is the number of tables the searches
-    decided, which is ``size``, the number of tables in the parts, when no
-    table was skipped."""
+    decided, and ``size`` the number of tables in the parts, which
+    ``_unaccounted`` holds it to."""
 
     def __init__(self, n: int, parts, **constraints):
         self.n, self.parts, self.constraints = n, parts, constraints
@@ -527,12 +528,10 @@ class _SearchStream:
         return sum(size for size, _, _ in _sized(self.n, self.parts,
                                                  self.constraints.get("mirror", False)))
 
-    def shortfall(self) -> list[dict]:
-        """After the pass, one counterexample if the searches did not decide
-        every table of the parts, else none."""
-        if self.decided == self.size:
-            return []
-        return [{"reason": f"searches decided {self.decided} of {self.size} tables"}]
+
+def _unaccounted(decided: int, size: int) -> list[dict]:
+    """One counterexample unless a source decided its ``size`` tables."""
+    return [] if decided == size else [{"reason": f"decided {decided} of {size} tables"}]
 
 
 def _sized(n: int, parts, mirror: bool) -> Iterator[tuple[int, list, list]]:
@@ -761,35 +760,35 @@ def _scan(check, parts, sampled: bool = False, closed_form: Optional[tuple] = No
     """Runner that tallies ``check`` over the class ``parts(n)``, each part
     the cell domains of one search under ``constraints`` (the ``_search``
     keywords, ``mirror`` among them), whose tables decided are the
-    candidates. The searches of the parts stream their tables into the
-    tally as one stream, in order, and no table is kept past its check. A
+    candidates, streamed into the tally in order and kept past no check. A
     class with no constraints is the whole space of its one part instead,
-    swept over ``jobs`` workers. A sampled class is drawn past chain size 4:
-    its draws are the parts, of one table each. A report fails, with that
-    reason first, if the searches skipped a table of the parts, or if, in a
-    searched class with a ``closed_form`` (stat, name, count), the stat
-    named ``stat`` is not ``count(n)``."""
+    swept over ``jobs`` workers; a sampled class is drawn past chain size
+    4, its draws the parts, of one table each. Every source ends in one
+    tail: the report fails if, with a ``closed_form`` (stat, name, count),
+    the stat ``stat`` is not ``count(n)``, then if the source decided other
+    than its size, each reason before the check's counterexamples."""
     def run(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
-        if not constraints:
-            [values] = parts(n)
-            merged = _sweep(check, _space(n, values), n, jobs)
-            return merged["checked"], merged["counterexamples"], {"stats": merged["stats"]}
         drawn = (_draw(parts(n), n, seed, constraints.get("mirror", False))
                  if sampled and n > 4 else None)
-        tables = _SearchStream(n, parts(n) if drawn is None
-                               else [lambda i, j, t=t: (t[i][j],) for t in drawn], **constraints)
-        part = _tally(_unchecked_operations(n, tables), check)
-        cex = tables.shortfall() + part["counterexamples"]
-        if drawn is not None:
-            return SAMPLE_SIZE, cex, {
-                "stats": {"prefiltered": len(drawn), **part["stats"]}, "seed": seed}
+        if not constraints:
+            space = _space(n, *parts(n))
+            found = _sweep(check, space, n, jobs)
+            decided, size = found["checked"], space.size
+        else:
+            tables = _SearchStream(n, parts(n) if drawn is None else
+                                   [lambda i, j, t=t: (t[i][j],) for t in drawn], **constraints)
+            found = _tally(_unchecked_operations(n, tables), check)
+            decided, size = tables.decided, tables.size
+        stats, cex = found["stats"], _unaccounted(decided, size) + found["counterexamples"]
         if closed_form is not None:
             stat, name, count = closed_form
-            got, want = part["stats"].get(stat, 0), count(n)
+            got, want = stats.get(stat, 0), count(n)
             if got != want:
                 cex.insert(0, {"reason": f"{got} tables counted as {stat}, "
                                          f"expected {name} = {want}"})
-        return tables.decided, cex, {"stats": part["stats"]}
+        if drawn is not None:
+            return SAMPLE_SIZE, cex, {"stats": {"prefiltered": len(drawn), **stats}, "seed": seed}
+        return decided, cex, {"stats": stats}
     return run
 
 
@@ -798,6 +797,15 @@ def _devillet_count(n: int) -> int:
     2019): the sum over k of C(n, k) (n - k)! w(k), with w(0) = 0, w(1) = 1
     and w(k) = 2 for k >= 2; 1, 4, 14, 58, 292 for n = 1..5."""
     return sum(comb(n, k) * factorial(n - k) * (1 if k == 1 else 2) for k in range(1, n + 1))
+
+
+@cache
+def _quasitrivial_count(n: int) -> int:
+    """The conservative associative operations on the n-chain (Devillet,
+    Marichal and Teheux 2019): ordered partitions of the chain, w(k) ways for
+    a block of k, w as above; 1, 4, 20, 138, 1182 for n = 1..5."""
+    return 1 if n == 0 else sum(comb(n, k) * (1 if k == 1 else 2) * _quasitrivial_count(n - k)
+                                for k in range(1, n + 1))
 
 
 def _key(table) -> bytes:
@@ -820,7 +828,7 @@ def _verify_main(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
     index, _ = _contour_index(n)
     found = _SearchStream(n, [_conservative], mirror=True, nondecreasing=True)
     counts, strays = _count_against(index, map(_key, found))
-    cex = found.shortfall()
+    cex = _unaccounted(found.decided, found.size)
     # found tables that are never generated, in search order, then generated
     # tables that the search did not find, in table order
     for key in strays:
@@ -999,18 +1007,24 @@ _CATALOG = {
     "idis": (3, "isolated points of idempotent operations lie on the diagonal",
              _scan(_check_idis, lambda n: [_idempotent(_full(n))])),
     "ee": (4, "for conservative operations, neutral = unique isolated diagonal point",
-           _scan(_check_ee, lambda n: [_conservative])),
+           _scan(_check_ee, lambda n: [_conservative],
+                 closed_form=("has_neutral", "n*2^((n-1)(n-2))",
+                              lambda n: n * 2 ** ((n - 1) * (n - 2))))),
     "tcons": (3, "conservativeness = idempotency + diagonal-connected contour",
-              _scan(_check_tcons, lambda n: [_full(n)])),
+              _scan(_check_tcons, lambda n: [_full(n)],
+                    closed_form=("conservative", "2^(n^2-n)", lambda n: 2 ** (n * n - n)))),
     "te3": (3, "neutral elements = identity sections crossing on the diagonal",
-            _scan(_check_te3, lambda n: [_full(n)])),
+            _scan(_check_te3, lambda n: [_full(n)],
+                  closed_form=("has_neutral", "n*n^((n-1)^2)", lambda n: n * n ** ((n - 1) ** 2)))),
     "testca": (4, "rectangle test decides associativity of conservative operations",
-               _scan(_check_testca, lambda n: [_conservative])),
+               _scan(_check_testca, lambda n: [_conservative],
+                     closed_form=("associative", "the quasitrivial count", _quasitrivial_count))),
     "rec8n": (10, "there are n(n-1)(n-2) test rectangles, C(n,3) up to symmetry", _verify_rec8n),
     "prel34": (5, "idempotent nondecreasing with neutral e: min below e, max above",
                _scan(_check_prel34, _idempotent_neutral_parts, nondecreasing=True)),
     "consj": (3, "conservativeness = closure under every subset",
-              _scan(_check_consj, lambda n: [_full(n)])),
+              _scan(_check_consj, lambda n: [_full(n)],
+                    closed_form=("conservative", "2^(n^2-n)", lambda n: 2 ** (n * n - n)))),
     "open-questions": (5, "empirical probes, no assertion made", _verify_open_questions),
 }
 

@@ -314,7 +314,7 @@ class TestVerifyTheorem:
         assert not report["ok"]
         assert report["candidates"] < size
         assert report["counterexamples"][0] == {
-            "reason": f"searches decided {report['candidates']} of {size} tables"}
+            "reason": f"decided {report['candidates']} of {size} tables"}
 
     # claim: (the stat its closed form counts, the form's name, its value at
     # n = 3 and 4); bis-c counts the bisymmetric quasitrivial operations
@@ -350,6 +350,71 @@ class TestVerifyTheorem:
         assert report["counterexamples"][0] == {
             "reason": f"{report['stats'][stat]} tables counted as {stat}, "
                       f"expected {form} = {want[n]}"}
+
+    # each whole-space scan at its bound: (the stat its closed form counts,
+    # the form's name, its value), or None for idis, which has no closed form
+    _SWEPT_FORMS = {
+        "idis": None,
+        "ee": ("has_neutral", "n*2^((n-1)(n-2))", 256),
+        "tcons": ("conservative", "2^(n^2-n)", 64),
+        "te3": ("has_neutral", "n*n^((n-1)^2)", 243),
+        "testca": ("associative", "the quasitrivial count", 138),
+        "consj": ("conservative", "2^(n^2-n)", 64),
+    }
+
+    @staticmethod
+    def _closed_form_reasons(report, form) -> list[str]:
+        # the closed-form reason the report must lead with, if its count is off
+        if form is None:
+            return []
+        stat, name, want = form
+        got = report["stats"].get(stat, 0)
+        return [] if got == want else [f"{got} tables counted as {stat}, expected {name} = {want}"]
+
+    @pytest.mark.parametrize("name", list(_SWEPT_FORMS))
+    def test_a_scan_that_loses_a_table_fails_the_report(self, monkeypatch, name):
+        # the last worker range ends one table early, so the scan checks one
+        # table fewer than its space holds, with one worker or two
+        n = theorem_bound(name)
+        size = verify_theorem(name, n)["candidates"]
+        ranges = oracle._ranges
+
+        def short(tables, workers):
+            *rest, (start, stop) = ranges(tables, workers)
+            return [*rest, (start, stop - 1)]
+
+        monkeypatch.setattr(oracle, "_ranges", short)
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+        for jobs in (1, 2):
+            report = verify_theorem(name, n, jobs=jobs)
+            assert not report["ok"]
+            assert report["candidates"] == size - 1
+            reasons = self._closed_form_reasons(report, self._SWEPT_FORMS[name])
+            reasons.append(f"decided {size - 1} of {size} tables")
+            assert report["counterexamples"][:len(reasons)] == [{"reason": r} for r in reasons]
+
+    @pytest.mark.parametrize("name", [name for name, form in _SWEPT_FORMS.items() if form])
+    def test_a_scan_of_the_wrong_cells_fails_the_closed_form(self, monkeypatch, name):
+        # cell (0, 1) of the conservative and the full domains loses its first
+        # value: the scan decides every table of the narrower space, so only
+        # the closed form sees it
+        n = theorem_bound(name)
+        stat, _, want = form = self._SWEPT_FORMS[name]
+        assert verify_theorem(name, n)["stats"][stat] == want
+        conservative, full = oracle._conservative, oracle._full
+
+        def without_first(values):
+            return lambda i, j: values(i, j)[1:] if (i, j) == (0, 1) else values(i, j)
+
+        monkeypatch.setattr(oracle, "_conservative", without_first(conservative))
+        monkeypatch.setattr(oracle, "_full", lambda n: without_first(full(n)))
+        report = verify_theorem(name, n)
+        assert not report["ok"]
+        [reason] = self._closed_form_reasons(report, form)
+        assert report["counterexamples"][0] == {"reason": reason}
+
+    def test_the_quasitrivial_count(self):
+        assert [oracle._quasitrivial_count(n) for n in range(1, 6)] == [1, 4, 20, 138, 1182]
 
     def test_rec8n_report(self):
         report = verify_theorem("rec8n", 4)
@@ -1029,7 +1094,7 @@ class TestSearch:
         for _ in stream:
             pass
         assert stream.size == stream.decided == sum(sum(1 for _ in space) for space in spaces)
-        assert stream.shortfall() == []
+        assert oracle._unaccounted(stream.decided, stream.size) == []
 
     def test_the_search_streams_its_tables(self):
         # the first table comes before the search goes on; once exhausted it
