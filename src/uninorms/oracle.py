@@ -9,29 +9,30 @@ which keeps the tables that meet the class's identities and decides every
 other table of the space by pruning the subtree it lies in (at n = 5 it
 visits 12,391 nodes to decide all 2^20 conservative tables and keep the 1,182
 associative ones). The search yields each table it keeps as soon as the
-table is complete, and returns the number of tables decided: an enumerator
-streams the tables, and a claim streams them into its check, keeping none,
-and reads the number decided at the end. A search runs in the calling process
-whatever the worker count; ``--jobs`` splits only the whole-space scans,
-one contiguous index range per worker, whose results merge in range order,
-so every report is the one a single process makes.
+table is complete, and returns the tables decided and the tables its class
+holds: an enumerator streams the tables, and a claim streams them into its
+check, keeping none, and reads both counts at the end. A search runs in the
+calling process whatever the worker count; ``--jobs`` splits only the
+whole-space scans, one contiguous index range per worker, whose results
+merge in range order, so every report is the one a single process makes.
 
 A claim's hypothesis class is declared once, as its parts plus its
-constraints: disjoint parts, each the cell domains of one search, such as
-one per neutral element, all searched under the same ``_search`` keywords
+constraints: disjoint parts, each the cell domains of one space, such as
+one per neutral element, searched in turn by one ``_search`` with keywords
 (mirror, identities, monotonicity). The claim's check then tests only the
 conclusion on the tables kept, and the tables decided are its candidates.
 A class with no constraints has nothing to prune: it is the whole space of
 its one part, and every table of it is scanned. Sampling is left only for
 ``bis-a`` and ``bis-b`` at n = 5, where no search of their classes fits a
 desk budget: each draws, in the calling process, the tables of its parts
-that ``SAMPLE_SIZE`` uniform draws with one fixed seed keep, and searches
-them, as parts of one table each, in one search stream. Part (c) of the
+that ``SAMPLE_SIZE`` uniform draws with one fixed seed keep, and its draws,
+parts of one table each, are searched as one class. Part (c) of the
 open-questions probe is searched up to n = 4 and not run at n = 5.
 
 Each source of tables, a space, a search or a sample, is validated once: it
 checks its cell domains (every value an int, not a bool, in 1..n) before it
-makes a table, which is then wrapped once by ``core._unchecked_operations``
+makes a table, and a class search checks every part's domains before its
+first table. Each table is then wrapped once by ``core._unchecked_operations``
 (it skips ``BinaryOperation``'s per-table check and shares one chain per n).
 Every per-table check runs in one loop, ``_tally``, over operations: those
 wrapped tables, or the contour algorithm's operations as it makes them.
@@ -264,24 +265,28 @@ def _compile(term, arity: int, steps: list) -> int:
     return steps[-1][2]
 
 
-def _search(n: int, values, mirror: bool = False, identities=(),
-            nondecreasing: bool = False) -> Generator[tuple, None, int]:
-    """The tables of ``_space(n, values)`` that satisfy every one of
-    ``identities`` for all values of their variables, and are nondecreasing
-    in both arguments if asked, in the space's order. A mirrored search
-    searches the symmetric tables instead: it reads ``values(i, j)`` for the
-    cells j >= i only and copies each (i, j) into (j, i), so its space holds
-    one table per choice of the cells on and above the diagonal, row by row,
-    the last cell changing fastest.
+def _search(n: int, parts, mirror: bool = False, identities=(),
+            nondecreasing: bool = False) -> Generator[tuple, None, tuple[int, int]]:
+    """The tables of the class ``parts``, each part the cell domains of a
+    space ``_space(n, values)``, that satisfy every one of ``identities``
+    for all values of their variables, and are nondecreasing in both
+    arguments if asked: part by part, each in its space's order. A mirrored
+    search searches the symmetric tables instead: it reads ``values(i, j)``
+    for the cells j >= i only and copies each (i, j) into (j, i), so its
+    space holds one table per choice of the cells on and above the diagonal,
+    row by row, the last cell changing fastest.
 
-    Yields each table kept as soon as it is complete, and returns decided: the
-    number of tables found plus the size of every pruned subtree, summed as
-    the search goes, so it equals the size of the space only if the search
-    accounted for every table."""
+    Checks every part's domains before the first table and compiles the
+    identities once, not at all for no parts. Yields each table kept as soon
+    as it is complete, and returns (decided, size): the tables found plus
+    the size of every pruned subtree, summed as the search goes, and the
+    tables in the parts, equal only if the search accounted for every
+    table."""
     cells = _part_cells(n, mirror)
-    domains = [[v - 1 for v in domain] for domain in _domains(n, values, cells)]
-    # below[k]: the tables under one assignment of the cells before k
-    below = [prod(map(len, domains[k:])) for k in range(len(cells) + 1)]
+    checked = [[[v - 1 for v in domain] for domain in _domains(n, values, cells)]
+               for values in parts]
+    if not checked:
+        return 0, 0
     order = [0] * (n * n)  # cell x * n + y -> the position that sets it
     for k, (i, j) in enumerate(cells):
         order[i * n + j] = k
@@ -339,15 +344,19 @@ def _search(n: int, values, mirror: bool = False, identities=(),
                     return False
         return True
 
-    def extend() -> Generator[tuple, None, int]:
-        # Depth first with an explicit stack, so that every table is yielded
-        # from this one frame. k is the cell being set, tried[k] the number
-        # of its values tried, parked[k] the positions its current value
-        # parked instances on. Returns the tables decided.
-        last = len(cells) - 1
-        tried = [0] * len(cells)
-        parked: list[list] = [[] for _ in cells]
-        decided = 0
+    # Depth first with an explicit stack, so that every table is yielded from
+    # this one frame. k is the cell being set, tried[k] the number of its
+    # values tried, parked[k] the positions its current value parked
+    # instances on. Each part's walk undoes every park on the way back, so
+    # the next part starts from the compiled state.
+    last = len(cells) - 1
+    tried = [0] * len(cells)
+    parked: list[list] = [[] for _ in cells]
+    decided = size = 0
+    for domains in checked:
+        # below[k]: the tables under one assignment of the cells before k
+        below = [prod(map(len, domains[k:])) for k in range(len(cells) + 1)]
+        size += below[0]
         k = 0
         while k >= 0:
             undo = parked[k]
@@ -377,9 +386,7 @@ def _search(n: int, values, mirror: bool = False, identities=(),
                 yield tuple(tuple(v + 1 for v in tab[x * n:(x + 1) * n]) for x in range(n))
             else:
                 decided += below[k + 1]
-        return decided
-
-    return extend()
+    return decided, size
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +404,7 @@ def enumerate_nondecreasing(n: int) -> Iterator[BinaryOperation]:
     """All tables nondecreasing in both coordinates (24696 tables at n = 4),
     lexicographic by table entries; n <= 4."""
     _feasible(n, 4, "nondecreasing operations", "box plane partition numbers")
-    yield from _unchecked_operations(n, _search(n, _full(n), nondecreasing=True))
+    yield from _unchecked_operations(n, _search(n, [_full(n)], nondecreasing=True))
 
 
 def _feasible(n: int, cap: int, what: str, growth: str) -> None:
@@ -490,13 +497,14 @@ def _sweep(check, space: TableSpace, n: int, jobs: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 # hypothesis classes and their fixed-seed samples
 #
-# A class is given as disjoint parts, each the cell domains of one search,
-# and the constraints (the _search keywords, mirror among them) that every
-# part is searched under; a class with no constraints is one part, scanned
-# whole by _sweep. A uniform draw over all n^(n^2) tables lands in the parts
-# with probability p = |parts| / n^(n^2), and one that does is uniform on
-# them. So a sample runs SAMPLE_SIZE Bernoulli(p) trials, then draws each
-# table it keeps cell by cell, from a part picked in proportion to its size.
+# A class is given as disjoint parts, each the cell domains of one space,
+# and the constraints (the _search keywords, mirror among them) that one
+# search of the class runs every part under; a class with no constraints is
+# one part, scanned whole by _sweep. A uniform draw over all n^(n^2) tables
+# lands in the parts with probability p = |parts| / n^(n^2), and one that
+# does is uniform on them. So a sample runs SAMPLE_SIZE Bernoulli(p) trials,
+# then draws each table it keeps cell by cell, from a part picked in
+# proportion to its size.
 
 def _neutral_parts(n: int) -> list:
     """The tables with neutral element e, for each e; no table has two."""
@@ -509,24 +517,17 @@ def _idempotent_neutral_parts(n: int) -> list:
 
 
 class _SearchStream:
-    """The tables that a search of each of ``parts`` in turn keeps, as one
+    """The tables that one ``_search`` of the class ``parts`` keeps, as one
     stream in search order, for one pass that holds no table past its turn;
-    once the pass ends, ``decided`` is the number of tables the searches
+    once the pass ends, ``decided`` is the number of tables the search
     decided, and ``size`` the number of tables in the parts, which
     ``_unaccounted`` holds it to."""
 
     def __init__(self, n: int, parts, **constraints):
-        self.n, self.parts, self.constraints = n, parts, constraints
-        self.decided = 0
+        self._tables = _search(n, parts, **constraints)
 
     def __iter__(self) -> Iterator[tuple]:
-        for values in self.parts:
-            self.decided += yield from _search(self.n, values, **self.constraints)
-
-    @property
-    def size(self) -> int:
-        return sum(size for size, _, _ in _sized(self.n, self.parts,
-                                                 self.constraints.get("mirror", False)))
+        self.decided, self.size = yield from self._tables
 
 
 def _unaccounted(decided: int, size: int) -> list[dict]:
@@ -534,27 +535,19 @@ def _unaccounted(decided: int, size: int) -> list[dict]:
     return [] if decided == size else [{"reason": f"decided {decided} of {size} tables"}]
 
 
-def _sized(n: int, parts, mirror: bool) -> Iterator[tuple[int, list, list]]:
-    """(size, cells, domains) of each of ``parts``, its domains checked; the
-    cells of mirrored parts are those with j >= i."""
-    cells = _part_cells(n, mirror)
-    for values in parts:
-        domains = _domains(n, values, cells)
-        yield prod(map(len, domains)), cells, domains
-
-
 def _draw(parts, n: int, seed: int, mirror: bool) -> list:
     """The tables of ``parts`` (mirrored, if asked) that SAMPLE_SIZE uniform
     draws over all n^(n^2) tables keep, each drawn by one
     random.Random(seed)."""
     rng = random.Random(seed)
-    sized = list(_sized(n, parts, mirror))
-    sizes = [size for size, _, _ in sized]
+    cells = _part_cells(n, mirror)
+    checked = [_domains(n, values, cells) for values in parts]
+    sizes = [prod(map(len, domains)) for domains in checked]
     p = sum(sizes) / n ** (n * n)
     draw = rng.random
     kept = len([None for _ in repeat(None, SAMPLE_SIZE) if draw() < p])
     tables = []
-    for _, cells, domains in rng.choices(sized, sizes, k=kept):
+    for domains in rng.choices(checked, sizes, k=kept):
         cell = dict(zip(cells, map(rng.choice, domains)))  # a mirrored part: j >= i only
         tables.append(tuple(tuple(cell.get((i, j), cell.get((j, i))) for j in range(n))
                             for i in range(n)))
@@ -616,10 +609,11 @@ def _check_bis_c(op: BinaryOperation):
 
 
 def _check_idis(op: BinaryOperation):
+    delta = ("idempotent",) if is_idempotent(op) else ()
     bad = [p for p in isolated_points(op) if p[0] != p[1]]
     if bad:
-        return (), f"idempotent operation with off-diagonal isolated point {bad[0]}"
-    return (), None
+        return delta, f"idempotent operation with off-diagonal isolated point {bad[0]}"
+    return delta, None
 
 
 def _check_ee(op: BinaryOperation):
@@ -758,15 +752,16 @@ def _check_gc(op: BinaryOperation):
 def _scan(check, parts, sampled: bool = False, closed_form: Optional[tuple] = None,
           **constraints):
     """Runner that tallies ``check`` over the class ``parts(n)``, each part
-    the cell domains of one search under ``constraints`` (the ``_search``
-    keywords, ``mirror`` among them), whose tables decided are the
-    candidates, streamed into the tally in order and kept past no check. A
-    class with no constraints is the whole space of its one part instead,
-    swept over ``jobs`` workers; a sampled class is drawn past chain size
-    4, its draws the parts, of one table each. Every source ends in one
-    tail: the report fails if, with a ``closed_form`` (stat, name, count),
-    the stat ``stat`` is not ``count(n)``, then if the source decided other
-    than its size, each reason before the check's counterexamples."""
+    the cell domains of one space, searched as one class under
+    ``constraints`` (the ``_search`` keywords, ``mirror`` among them), whose
+    tables decided are the candidates, streamed into the tally in order and
+    kept past no check. A class with no constraints is the whole space of
+    its one part instead, swept over ``jobs`` workers; a sampled class is
+    drawn past chain size 4, its draws the parts, of one table each. Every
+    source ends in one tail: the report fails if, with a ``closed_form``
+    (stat, name, count), the stat ``stat`` is not ``count(n)``, then if the
+    source decided other than its size, each reason before the check's
+    counterexamples."""
     def run(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
         drawn = (_draw(parts(n), n, seed, constraints.get("mirror", False))
                  if sampled and n > 4 else None)
@@ -779,17 +774,21 @@ def _scan(check, parts, sampled: bool = False, closed_form: Optional[tuple] = No
                                    [lambda i, j, t=t: (t[i][j],) for t in drawn], **constraints)
             found = _tally(_unchecked_operations(n, tables), check)
             decided, size = tables.decided, tables.size
-        stats, cex = found["stats"], _unaccounted(decided, size) + found["counterexamples"]
-        if closed_form is not None:
-            stat, name, count = closed_form
-            got, want = stats.get(stat, 0), count(n)
-            if got != want:
-                cex.insert(0, {"reason": f"{got} tables counted as {stat}, "
-                                         f"expected {name} = {want}"})
+        stats = found["stats"]
+        cex = (_miscounted(stats, [closed_form] if closed_form else [], n)
+               + _unaccounted(decided, size) + found["counterexamples"])
         if drawn is not None:
             return SAMPLE_SIZE, cex, {"stats": {"prefiltered": len(drawn), **stats}, "seed": seed}
         return decided, cex, {"stats": stats}
     return run
+
+
+def _miscounted(stats: dict, forms, n: int) -> list[dict]:
+    """One counterexample for each closed form (stat, name, count) of
+    ``forms`` whose stat ``stats`` does not count count(n) times."""
+    return [{"reason": f"{stats.get(stat, 0)} tables counted as {stat}, "
+                       f"expected {name} = {count(n)}"}
+            for stat, name, count in forms if stats.get(stat, 0) != count(n)]
 
 
 def _devillet_count(n: int) -> int:
@@ -975,8 +974,16 @@ def _verify_rec8n(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
 
 
 def _verify_open_questions(n: int, seed: int, jobs: int) -> tuple[int, list, dict]:
+    # part (a)'s counts against their closed forms; parts (b) and (c)
+    # assert nothing
     report = probe_open_questions(n)
-    return report["a"]["conservative"], [], {"probe": report}
+    cex = _miscounted(report["a"], [
+        ("conservative", "2^(n^2-n)", lambda n: 2 ** (n * n - n)),
+        ("conservative_associative", "the quasitrivial count", _quasitrivial_count),
+        ("conservative_symmetric", "2^C(n,2)", lambda n: 2 ** comb(n, 2)),
+        ("conservative_symmetric_associative", "n!", factorial),
+    ], n)
+    return report["a"]["conservative"], cex, {"probe": report}
 
 
 # name: (max n, summary, runner(n, seed, jobs) -> (candidates, counterexamples, extras))
@@ -1005,7 +1012,8 @@ _CATALOG = {
                     closed_form=("antecedent", "the Devillet count", _devillet_count),
                     identities=(_BISYMMETRY,))),
     "idis": (3, "isolated points of idempotent operations lie on the diagonal",
-             _scan(_check_idis, lambda n: [_idempotent(_full(n))])),
+             _scan(_check_idis, lambda n: [_idempotent(_full(n))],
+                   closed_form=("idempotent", "n^(n^2-n)", lambda n: n ** (n * n - n)))),
     "ee": (4, "for conservative operations, neutral = unique isolated diagonal point",
            _scan(_check_ee, lambda n: [_conservative],
                  closed_form=("has_neutral", "n*2^((n-1)(n-2))",
