@@ -196,9 +196,22 @@ class TestVerifyTheorem:
         assert report["counterexample_count"] == 0
         assert report["candidates"] > 0
 
-    def test_unknown_claim(self):
-        with pytest.raises(ValueError, match="unknown"):
-            verify_theorem("no-such-claim", 3)
+    # theorem_bound and verify_theorem look a claim name up by one rule
+    _LOOKUPS = pytest.mark.parametrize(
+        "lookup", [theorem_bound, lambda name: verify_theorem(name, 3)],
+        ids=["theorem_bound", "verify_theorem"])
+
+    @_LOOKUPS
+    def test_unknown_claim(self, lookup):
+        with pytest.raises(ValueError) as error:
+            lookup("No-Such-Claim")
+        assert str(error.value) == ("unknown claim 'no-such-claim'; known: "
+                                    + ", ".join(theorem_names()))
+
+    @pytest.mark.parametrize("name,bound", [("main", 6), ("MAIN", 6), ("Bis-C", 5)])
+    def test_a_claim_name_in_any_case(self, name, bound):
+        assert theorem_bound(name) == bound
+        assert verify_theorem(name, 1)["theorem"] == name.lower()
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError, match="only checkable"):
@@ -220,19 +233,21 @@ class TestVerifyTheorem:
         def no_run(*args):
             raise AssertionError("the claim ran")
 
-        bound, summary, _ = oracle._CATALOG[name]
-        monkeypatch.setitem(oracle._CATALOG, name, (bound, summary, no_run))
+        bound, summary, _, forms = oracle._CATALOG[name]
+        monkeypatch.setitem(oracle._CATALOG, name, (bound, summary, no_run, forms))
         with pytest.raises(ValueError) as error:
             verify_theorem(name, n, **kwargs)
         assert str(error.value) == message
 
+    @_LOOKUPS
     @pytest.mark.parametrize("name,message", [
         (None, "name must be a string, got None"),
         (5, "name must be a string, got 5"),
+        (["x"], "name must be a string, got ['x']"),
     ])
-    def test_name_must_be_a_string(self, name, message):
+    def test_name_must_be_a_string(self, lookup, name, message):
         with pytest.raises(ValueError) as error:
-            verify_theorem(name, 3)
+            lookup(name)
         assert str(error.value) == message
 
     def test_mainb_exhaustive_statistics(self):
@@ -317,16 +332,20 @@ class TestVerifyTheorem:
         assert report["counterexamples"][0] == {
             "reason": f"decided {report['candidates']} of {size} tables"}
 
-    # claim: (the stat its closed form counts, the form's name, its value at
-    # n = 3 and 4); bis-c counts the bisymmetric quasitrivial operations, and
-    # the first count of the probe's part (a) that a dropped table changes is
-    # that of the quasitrivial ones
+    # claim: (the stat its first closed form counts, the form's name, its
+    # value at n = 3 and 4, and at the bound 5 for mainb and prel34); bis-c
+    # counts the bisymmetric quasitrivial operations, the first count of the
+    # probe's part (a) that a dropped table changes is that of the
+    # quasitrivial ones, and mainb and prel34 count their whole classes
     _CLOSED_FORMS = {
         "main3": ("candidate", "2^(n-1)", {3: 4, 4: 8}),
         "corollary-mainb": ("idempotent_uninorms", "2^(n-1)", {3: 4, 4: 8}),
         "bis-c": ("antecedent", "the Devillet count", {3: 14, 4: 58}),
         "open-questions": ("conservative_associative", "the quasitrivial count",
                            {3: 20, 4: 138}),
+        "mainb": ("candidate", "the nondecreasing neutral count", {3: 13, 4: 346, 5: 40088}),
+        "prel34": ("candidate", "the idempotent nondecreasing neutral count",
+                   {3: 11, 4: 164, 5: 7195}),
     }
 
     @staticmethod
@@ -334,8 +353,8 @@ class TestVerifyTheorem:
         # a claim's stat, or a count of the probe's part (a)
         return report["stats"][stat] if "stats" in report else report["probe"]["a"][stat]
 
-    @pytest.mark.parametrize("name", list(_CLOSED_FORMS))
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("name,n", [(name, n) for name, (_, _, want) in _CLOSED_FORMS.items()
+                                        for n in want])
     def test_a_search_that_drops_kept_tables_fails_the_closed_form(self, monkeypatch, name, n):
         # each search passes on only four of every five tables it keeps but
         # still accounts for all of them, so the accounting check cannot see
@@ -423,6 +442,23 @@ class TestVerifyTheorem:
 
     def test_the_quasitrivial_count(self):
         assert [oracle._quasitrivial_count(n) for n in range(1, 6)] == [1, 4, 20, 138, 1182]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("idempotent", [False, True])
+    def test_the_nondecreasing_neutral_counts_are_the_searches(self, n, idempotent):
+        # the tables that a search of each neutral element's class keeps
+        kept = []
+        for e in range(1, n + 1):
+            values = oracle._neutral(n, e)
+            parts = [oracle._idempotent(values) if idempotent else values]
+            kept.append(sum(1 for _ in oracle._search(n, parts, nondecreasing=True)))
+        assert oracle._nondecreasing_neutral_counts(n, idempotent) == tuple(kept)
+
+    def test_the_nondecreasing_neutral_counts_past_the_searches(self):
+        counts = oracle._nondecreasing_neutral_counts
+        assert counts(5) == (170, 8624, 22500, 8624, 170)
+        assert [sum(counts(n)) for n in (5, 6)] == [40088, 21358858]
+        assert [sum(counts(n, idempotent=True)) for n in (5, 6)] == [7195, 861202]
 
     def test_rec8n_report(self):
         report = verify_theorem("rec8n", 4)
@@ -516,7 +552,7 @@ class TestVerifyTheorem:
         assert report["candidates"] == report["generated"] == want + 1
         assert report["distinct"] == want
         assert report["counterexamples"] == [{
-            "reason": f"generator yielded {want + 1} tables ({want} distinct), expected {want}"}]
+            "reason": f"{want + 1} tables counted as generated, expected 2^(n-1) = {want}"}]
 
     def test_corollary_sweep_at_its_bound(self):
         report = verify_theorem("corollary-mainb", 4, seed=0)
@@ -570,7 +606,7 @@ class TestVerifyTheorem:
 
         monkeypatch.setattr(futures, "ProcessPoolExecutor", pool)
         monkeypatch.setitem(oracle._CATALOG, "probe",
-                            (3, "probe", oracle._scan(check, lambda n: [oracle._full(n)])))
+                            (3, "probe", oracle._scan(check, lambda n: [oracle._full(n)]), ()))
         reports = [verify_theorem("probe", 3, jobs=jobs) for jobs in (1, 2, 3)]
         for report in reports:
             report.pop("runtime_seconds")
@@ -691,8 +727,8 @@ def _set_based_qob(n, seed, jobs):
 def _qob_and_set_based_reports(monkeypatch, n):
     got = verify_theorem("qob", n)
     with monkeypatch.context() as m:
-        bound, summary, _ = oracle._CATALOG["qob"]
-        m.setitem(oracle._CATALOG, "qob", (bound, summary, _set_based_qob))
+        bound, summary, _, forms = oracle._CATALOG["qob"]
+        m.setitem(oracle._CATALOG, "qob", (bound, summary, _set_based_qob, forms))
         want = verify_theorem("qob", n)
     for report in (got, want):
         report.pop("runtime_seconds")
@@ -974,7 +1010,7 @@ class TestClassDigests:
         assert (len(tables), digest) == self._SEARCH_DIGESTS[search, n]
 
     def test_every_scanned_claim_is_pinned(self):
-        scanned = {name for name, (_, _, runner) in oracle._CATALOG.items()
+        scanned = {name for name, (_, _, runner, _) in oracle._CATALOG.items()
                    if runner.__qualname__.startswith("_scan.")}
         assert scanned == {name for name, _ in self._DIGESTS}
 
